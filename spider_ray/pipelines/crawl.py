@@ -30,6 +30,11 @@ Scale notes (the 100 TB / 10^10-URL design point):
 - The seen state is K hash-partitioned actors (exact or bloom); its lineage
   is the seeds file + the union of per-round frontier checkpoints (every
   claimed url is pending at the end of its claim round), replayed on resume.
+- Shard actors live as long as the Ray session, not the crawl: a crawl
+  takes idle shards from a per-session pool (``_take_shards``), resets
+  them to its seen mode, and spawns only the ones missing; on success it
+  resets them (idle shards hold no urls) and returns them to the pool. A
+  failed crawl kills its shards, so none ever reaches the pool.
 - Rounds promote atomically (write to ``rounds/.rXXXX.tmp``, rename; the
   checkpoint writer thread is serialized so promotion order is strict), so
   a killed job resumes from the last complete round and reproduces the
@@ -65,7 +70,13 @@ from spider_ray.stages.expand import (
 from spider_ray.stages.fetch import fetch_indexed, fetch_join, load_corpus_ref
 from spider_ray.stages.politeness import politeness_split
 from spider_ray.stages.rank import assign_ranks
-from spider_ray.state.seen import UrlSeenShard, iter_shard_groups, route_sentinel
+from spider_ray.state.seen import (
+    Claims,
+    UrlSeenShard,
+    claims_table,
+    iter_shard_groups,
+    route_sentinel,
+)
 
 # the reference's logging surface (spider/controllers/core/loggers —
 # ``crawl_info`` lines consumed by its log-based tests): one structured
@@ -220,6 +231,79 @@ def _decode_block_task(tbl: pa.Table, offset: int, length: int) -> pa.Table:
     FULL parent buffers once per slice, ~nblocks× the frontier size), and
     the output is compacted so the returned slice doesn't re-ship them."""
     return _compact(_decode_candidates(tbl.slice(offset, length)))
+
+
+@ray.remote
+def _claims_table_task(claims: Claims) -> pa.Table:
+    """One shard's harvest as Arrow, for the distributed rank path."""
+    return claims_table([claims])
+
+
+def _presplit(tbl: pa.Table, nblocks: int) -> Dataset:
+    """``tbl`` as a materialized Dataset of ``nblocks`` compacted slices."""
+    step = -(-tbl.num_rows // nblocks)
+    return ray.data.from_arrow(
+        [_compact(tbl.slice(i, step)) for i in range(0, tbl.num_rows, step)]
+    )
+
+
+# Idle seen-shard actors of this process, per Ray session and shard class.
+# Spawning a shard process costs far more than a crawl round's shard work,
+# so crawls in one session share one set. The job id and the driver's node
+# id together name the session (a new local cluster restarts job ids), so a
+# handle from an earlier ``ray.init`` is never reused.
+_SHARD_POOL: dict[tuple, list] = {}
+_SHARD_POOL_LOCK = threading.Lock()
+
+
+def _shard_pool_key() -> tuple:
+    ctx = ray.get_runtime_context()
+    # UrlSeenShard is read at call time: rebinding the module global swaps
+    # the actor class, and such shards get a pool of their own
+    return ctx.get_job_id(), ctx.get_node_id(), UrlSeenShard
+
+
+def _take_shards(n: int, mode: str, bloom_bits: int) -> list:
+    """``n`` empty seen shards of ``mode``: idle ones from the pool, reset,
+    plus new actors for the rest."""
+    key = _shard_pool_key()
+    with _SHARD_POOL_LOCK:
+        for k in [k for k in _SHARD_POOL if k[:2] != key[:2]]:
+            del _SHARD_POOL[k]  # an earlier session's handles
+        idle = _SHARD_POOL.setdefault(key, [])
+        shards, idle[:] = idle[:n], idle[n:]
+    try:
+        ray.get([s.reset.remote(mode, bloom_bits) for s in shards])
+    except ray.exceptions.RayActorError:
+        # a pooled actor died while idle: drop the pool, start afresh
+        with _SHARD_POOL_LOCK:
+            shards += _SHARD_POOL.pop(key, [])
+        _kill_shards(shards)
+        shards = []
+    except BaseException:
+        _kill_shards(shards)
+        raise
+    actor = ray.remote(key[2])
+    new = [actor.remote(mode, bloom_bits) for _ in range(n - len(shards))]
+    for s in new:
+        s.n_items.remote()  # fire-and-forget: actor processes start spawning
+        # NOW, overlapped with driver-side seed normalization — otherwise the
+        # spawn (~1-2 s for 8 processes) lands on round 0's critical path at
+        # the first claim/offer
+    return shards + new
+
+
+def _return_shards(shards: list) -> None:
+    for s in shards:
+        s.reset.remote()  # ordered before the next crawl's reset
+    key = _shard_pool_key()
+    with _SHARD_POOL_LOCK:
+        _SHARD_POOL.setdefault(key, []).extend(shards)
+
+
+def _kill_shards(shards: list) -> None:
+    for s in shards:
+        ray.kill(s)
 
 
 def _seed_frontier(
@@ -500,17 +584,28 @@ def crawl(
         )
     if cfg.host_budgets and any(b < 1 for b in cfg.host_budgets.values()):
         raise ValueError("host_budgets values must be >= 1 (0 defers forever)")
-    robots_fn = make_robots_filter(cfg.robots) if cfg.robots else None
 
-    SeenActor = ray.remote(UrlSeenShard)
-    shards = [
-        SeenActor.remote(cfg.seen_mode, cfg.bloom_bits) for _ in range(cfg.seen_shards)
-    ]
-    for s in shards:
-        s.n_items.remote()  # fire-and-forget: actor processes start spawning
-        # NOW, overlapped with driver-side seed normalization — otherwise the
-        # spawn (~1-2 s for 8 processes) lands on round 0's critical path at
-        # the first claim/offer
+    shards = _take_shards(cfg.seen_shards, cfg.seen_mode, cfg.bloom_bits)
+    try:
+        result = _crawl_rounds(corpus_path, seeds, out_dir, cfg, resume, shards)
+    except BaseException:
+        # a failed crawl's shards hold half a round of state: never pool them
+        _kill_shards(shards)
+        raise
+    _return_shards(shards)
+    return result
+
+
+def _crawl_rounds(
+    corpus_path: str,
+    seeds: list[str],
+    out_dir: str,
+    cfg: CrawlConfig,
+    resume: bool,
+    shards: list,
+) -> CrawlResult:
+    """The round loop of ``crawl`` on shards the caller owns."""
+    robots_fn = make_robots_filter(cfg.robots) if cfg.robots else None
     corpus_ref = (
         load_corpus_ref(corpus_path) if cfg.fetch_mode.startswith("indexed") else None
     )
@@ -564,7 +659,7 @@ def crawl(
             # frontier so every CPU gets work (a sorted/unioned frontier often
             # arrives as 1-2 blocks), capped so blocks never get degenerate.
             # Skipped when last round's refill already pre-split the frontier
-            # driver-side (_presplit_table) — one less stage per round.
+            # driver-side (decode slices or _presplit) — one less stage per round.
             cpus = int(ray.cluster_resources().get("CPU", 4))
             target_blocks = _target_blocks(n_fetch, cpus, cfg.fetch_batch_size)
             if n_fetch > 0 and not (pending_presplit and deferred is None):
@@ -646,9 +741,8 @@ def crawl(
                     if n_cand <= cfg.small_round_rows:
                         # small round: sort+rank on the driver — a distributed
                         # execution costs more than the data
-                        tbls = [t for t in ray.get(harvests) if t.num_rows]
-                        if tbls:
-                            tbl = pa.concat_tables(tbls)
+                        tbl = claims_table(ray.get(harvests))
+                        if tbl.num_rows:
                             order = pa.compute.sort_indices(
                                 tbl, sort_keys=[("claim_key", "ascending")]
                             )
@@ -678,7 +772,9 @@ def crawl(
                             ranked = ray.data.from_arrow_refs(dec_refs)
                             ranked_tbl = dec_refs
                     else:
-                        new = ray.data.from_arrow_refs(harvests)
+                        new = ray.data.from_arrow_refs(
+                            [_claims_table_task.remote(h) for h in harvests]
+                        )
                         ranked, n_new = assign_ranks(
                             new.sort("claim_key"),
                             next_rank,
@@ -782,6 +878,14 @@ def crawl(
                     p_tbls = [
                         t for p in parts for t in [_collect_tables(p)] if t is not None
                     ]
+                    # rebuild the next frontier from the collected parts: a
+                    # lazy union gains one block per deferring round, and
+                    # the politeness split slows with every block
+                    pending = _presplit(
+                        pa.concat_tables(p_tbls),
+                        _target_blocks(pending_count, cpus, cfg.fetch_batch_size),
+                    )
+                    pending_presplit = True
                 p_big = None
             else:
                 p_tbls, p_big = [], _union_parts(parts)
@@ -826,14 +930,12 @@ def crawl(
         intr.check()  # a deferred Ctrl-C surfaces before reporting success
     finally:
         # restore the SIGINT handler WITHOUT raising (a raise here would
-        # mask the original exception), then release distributed state:
-        # the checkpoint writer thread and the seen-shard actors must
-        # not outlive a failed crawl for the rest of the Ray session
+        # mask the original exception), then join the checkpoint writer
+        # thread: it must not outlive a failed crawl (crawl() kills the
+        # failed crawl's shards)
         intr._old is not None and signal.signal(signal.SIGINT, intr._old)
         if ckpt_thread is not None and ckpt_thread.is_alive():
             ckpt_thread.join()
-        for s in shards:
-            ray.kill(s)
     return CrawlResult(
         out_dir=out_dir,
         rounds=metrics,

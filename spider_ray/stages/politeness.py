@@ -2,12 +2,16 @@
 
 The reference's ``--concur`` semaphore never actually limits anything (quirk
 q5, crawler.py:82) — the engine implements the INTENDED semantics (a per-host
-fetch budget per round) under the hard contract that politeness must not
-change the final URL-seen set, the store row set, or the canonical order
-(SURVEY.md §3.1). That holds because claims happen at frontier-admission
-time, before any deferral, and deferred rows keep their original
-``(depth, rank)`` — deferral delays fetch, never re-ranks and never drops
-(SURVEY.md §7 hard-part 4).
+fetch budget per round). Deferral delays a fetch; it never drops a row and
+never re-ranks one: claims happen at frontier-admission time, and a deferred
+row keeps its ``(depth, rank)`` (SURVEY.md §7 hard-part 4). So budgets leave
+the set of stored urls unchanged. They DO change the canonical order: a
+deferred page is fetched in a later round, so the links it adds are claimed
+later, and its children get later ranks than in an unthrottled crawl, and
+sometimes deeper depths (a page that an unthrottled crawl reaches through
+a deferred parent may be claimed first through a deeper one). The
+sequential oracle (``spider_ray.oracle``, same ``per_host_budget``) defines
+the budgeted order, and the engine matches it.
 
 Hot-host-safe physical shape (SURVEY.md §7 hard-part 5): "keep the b
 smallest ranks per host" is computed WITHOUT ever putting one host's rows in

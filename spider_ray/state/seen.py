@@ -37,6 +37,7 @@ same URL-seen contract (SURVEY.md §7 hard-part 3).
 from __future__ import annotations
 
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -317,6 +318,35 @@ class CuckooSeen:
         self._rng.set_state(rng_state)
 
 
+@dataclass(eq=False)
+class Claims:
+    """One shard's harvest: the urls it claimed in a round and their claim
+    keys, in offer order. Plain lists and numpy, never Arrow: the first
+    Arrow array a fresh actor builds imports pyarrow's pandas layer, and
+    returning a table makes Ray import ``ray.data`` to serialize it — about
+    2 s per new actor on the first harvest of a crawl. The driver (or a
+    task, on large rounds) builds the Arrow table with ``claims_table``."""
+
+    urls: list[str]
+    keys: np.ndarray  # int64, aligned with urls
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.urls)
+
+
+def claims_table(claims: list[Claims]):
+    """One ``(url, claim_key)`` Arrow table over one or more harvests, in
+    list order."""
+    import pyarrow as pa
+
+    urls = [u for c in claims for u in c.urls]
+    keys = np.concatenate([c.keys for c in claims])
+    return pa.table(
+        {"url": pa.array(urls, pa.string()), "claim_key": pa.array(keys, pa.int64())}
+    )
+
+
 class UrlSeenShard:
     """One hash-range shard of the URL-seen state. Run as a Ray actor
     (``ray.remote(UrlSeenShard)``); all methods are called via actor handles
@@ -390,14 +420,11 @@ class UrlSeenShard:
                 pend[u] = k
         return len(urls)
 
-    def harvest(self, round_id: int):
+    def harvest(self, round_id: int) -> Claims:
         """Phase B (after ALL offers of the round): claim every pending url
-        and return the shard's (url, claim_key) winners as an Arrow table.
+        and return the shard's (url, claim_key) winners as ``Claims``.
         Idempotent per round (resume-safe: a second harvest returns the same
-        table without re-claiming)."""
-        import numpy as np
-        import pyarrow as pa
-
+        record without re-claiming)."""
         if round_id == self._harvest_round and self._harvest_result is not None:
             return self._harvest_result
         urls = list(self._pending.keys())
@@ -407,10 +434,13 @@ class UrlSeenShard:
         self._claimed_this_round |= set(urls)
         self._pending = {}
         self._harvest_round = round_id
-        self._harvest_result = pa.table(
-            {"url": pa.array(urls, pa.string()), "claim_key": pa.array(keys)}
-        )
+        self._harvest_result = Claims(urls, keys)
         return self._harvest_result
+
+    def reset(self, mode: str = "exact", bloom_bits: int = 1 << 24) -> None:
+        """Back to a freshly constructed shard, possibly of another mode — a
+        pooled actor serves one crawl after another (pipelines/crawl.py)."""
+        self.__init__(mode, bloom_bits)
 
     def bulk_add(self, urls: list[str]) -> int:
         """Restore path: re-add previously claimed URLs without touching

@@ -62,11 +62,32 @@ def test_engine_matches_oracle_depths(corpus_dir, corpus_dict, tmp_path, depth):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_engine_matches_oracle_with_politeness(corpus_dir, corpus_dict, tmp_path):
+def test_engine_matches_oracle_with_politeness(
+    corpus_dir, corpus_dict, tmp_path, monkeypatch
+):
+    import ray
+
+    from spider_ray.pipelines import crawl as crawl_mod
+
+    frontiers = []
+    split = crawl_mod.politeness_split
+
+    def recording_split(pending, *args, **kwargs):
+        frontiers.append((pending.count(), pending.num_blocks()))
+        return split(pending, *args, **kwargs)
+
+    monkeypatch.setattr(crawl_mod, "politeness_split", recording_split)
     res, store = _run_engine(corpus_dir, tmp_path, max_depth=2, per_host_budget=3)
+    # deferring rounds must not grow the frontier by a block per round
+    cpus = int(ray.cluster_resources()["CPU"])
+    batch = crawl_mod.CrawlConfig().fetch_batch_size
+    assert len(frontiers) > 3 and all(
+        blocks <= crawl_mod._target_blocks(rows, cpus, batch) for rows, blocks in frontiers
+    ), frontiers
     oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=2, per_host_budget=3)
     _assert_matches_oracle(res, store, oracle)
-    # politeness is order-neutral (quirk q5 contract): same store as unbudgeted
+    # politeness keeps the stored url set (quirk q5 contract), though not
+    # the order: same store urls as unbudgeted
     free = crawl_oracle(corpus_dict, SEEDS, max_depth=2)
     assert {r.url for r in free.store} == set(store["url"])
 
@@ -189,10 +210,11 @@ def test_engine_robots_table_with_budgets(corpus_dir, corpus_dict, tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_engine_distributed_rank_and_big_checkpoint_paths(corpus_dir, corpus_dict, tmp_path):
     # force the >threshold branches: distributed sort+rank for every round
-    # and streaming write_parquet checkpoints — must be byte-equivalent to
+    # (harvests reach Arrow through per-shard tasks) and streaming
+    # write_parquet checkpoints — must be byte-equivalent to
     # the driver-side fast paths (and resume from a ray-written frontier)
     res, store = _run_engine(
-        corpus_dir, tmp_path, max_depth=2, small_round_rows=1, small_checkpoint_rows=1
+        corpus_dir, tmp_path, max_depth=2, small_round_rows=0, small_checkpoint_rows=1
     )
     oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=2)
     _assert_matches_oracle(res, store, oracle)
@@ -202,16 +224,121 @@ def test_engine_distributed_rank_and_big_checkpoint_paths(corpus_dir, corpus_dic
     out2 = str(tmp_path / "big_resume")
     part = crawl(
         corpus_dir, SEEDS, out2, max_depth=2,
-        small_round_rows=1, small_checkpoint_rows=1, max_rounds=1,
+        small_round_rows=0, small_checkpoint_rows=1, max_rounds=1,
     )
     assert not part.finished
     resumed = crawl(
         corpus_dir, SEEDS, out2, max_depth=2,
-        small_round_rows=1, small_checkpoint_rows=1, resume=True,
+        small_round_rows=0, small_checkpoint_rows=1, resume=True,
     )
     assert resumed.finished
     df = read_store(out2, canonical_order=True).to_pandas()
     assert df["url"].tolist() == oracle.canonical_order()
+
+
+def _pooled_shards():
+    from spider_ray.pipelines import crawl as crawl_mod
+
+    return list(crawl_mod._SHARD_POOL.get(crawl_mod._shard_pool_key(), []))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_crawls_in_one_session_reuse_reset_shards(
+    corpus_dir, corpus_dict, tmp_path
+):
+    res, store = _run_engine(corpus_dir, tmp_path, max_depth=2)
+    _assert_matches_oracle(res, store, crawl_oracle(corpus_dict, SEEDS, max_depth=2))
+    pooled = _pooled_shards()
+    assert len(pooled) >= 8
+
+    # another corpus over the same url space, in bloom mode: a shard that
+    # kept any url of the first crawl would drop it here
+    d2 = write_corpus(str(tmp_path / "corpus2"), n_pages=150, n_hosts=8, links_per_page=4)
+    c2 = corpus_as_dict(build_pages_table(n_pages=150, n_hosts=8, links_per_page=4))
+    res2, store2 = _run_engine(
+        d2, tmp_path / "second", max_depth=2, seen_mode="bloom", bloom_bits=1 << 20
+    )
+    _assert_matches_oracle(res2, store2, crawl_oracle(c2, SEEDS, max_depth=2))
+    assert set(_pooled_shards()) == set(pooled)  # no actor spawned or lost
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_shard_pool_hands_each_shard_to_one_crawl_at_a_time():
+    import sys
+    import threading
+
+    import ray
+
+    from spider_ray.pipelines import crawl as crawl_mod
+
+    in_use, errors, lock = set(), [], threading.Lock()
+
+    def worker():
+        try:
+            for _ in range(5):
+                shards = crawl_mod._take_shards(2, "exact", 1 << 12)
+                with lock:
+                    if in_use & set(shards):
+                        errors.append("shard handed out twice")
+                    in_use.update(shards)
+                ray.get([s.n_items.remote() for s in shards])  # hold them a while
+                with lock:
+                    in_use.difference_update(shards)
+                crawl_mod._return_shards(shards)
+        except Exception as e:  # noqa: BLE001 — reported by the assert below
+            errors.append(repr(e))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    pooled = _pooled_shards()
+    assert len(pooled) == len(set(pooled))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_failed_crawl_kills_its_shards(corpus_dir, corpus_dict, tmp_path, monkeypatch):
+    import ray
+
+    from spider_ray.pipelines import crawl as crawl_mod
+
+    taken = []
+    take = crawl_mod._take_shards
+
+    def recording_take(*args):
+        taken.extend(take(*args))
+        return list(taken)
+
+    monkeypatch.setattr(crawl_mod, "_take_shards", recording_take)
+    split = crawl_mod.politeness_split
+    calls = []
+
+    def failing_split(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("injected mid-crawl failure")
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(crawl_mod, "politeness_split", failing_split)
+    with pytest.raises(RuntimeError, match="injected"):
+        _run_engine(corpus_dir, tmp_path, max_depth=2)
+    assert len(taken) == 8
+    assert not set(taken) & set(_pooled_shards())
+    for s in taken:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(s.n_items.remote(), timeout=60)
+
+    monkeypatch.undo()
+    res, store = _run_engine(corpus_dir, tmp_path / "after", max_depth=2)
+    _assert_matches_oracle(res, store, crawl_oracle(corpus_dict, SEEDS, max_depth=2))
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -4,10 +4,13 @@ and the module performs no ray.init/shutdown of its own (the driver owns
 the session — reference: the driver calls ray.init before import)."""
 
 import importlib.util
+import os
 
 import pytest
 
-ENTRY_PATH = "/root/repo/__ray_entry__.py"
+ENTRY_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "__ray_entry__.py"
+)
 
 
 def _load():

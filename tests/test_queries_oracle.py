@@ -81,11 +81,13 @@ def test_bench_suite_names_are_registry_queries():
     """Every bench.py QUERY_BENCH entry must be a registered query (a
     rename in one place must fail loudly, not skip silently in bench)."""
     import importlib.util
+    import os
 
     from spider_ray.pipelines.registry import QUERIES
 
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
-        "bench", "/root/repo/bench.py"
+        "bench", os.path.join(root, "bench.py")
     )
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)

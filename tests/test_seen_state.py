@@ -207,3 +207,49 @@ def test_dump_refuses_unharvested_offers_and_restore_clears_offer_state():
     t.restore(snap)
     out = t.harvest(2)  # post-restore timeline: nothing offered in round 2
     assert out.num_rows == 0
+
+
+def test_harvest_returns_plain_claims_and_repeats_per_round():
+    import pickle
+
+    s = UrlSeenShard(mode="exact")
+    s.offer(1, ["https://a/1", "https://a/2", "https://a/1"], [7, 3, 5])
+    out = s.harvest(1)
+    assert out.num_rows == 2
+    assert out.urls == ["https://a/1", "https://a/2"]
+    assert out.keys.dtype == np.int64 and out.keys.tolist() == [5, 3]
+    # nothing Arrow crosses the actor boundary (see Claims)
+    assert b"pyarrow" not in pickle.dumps(out)
+    again = s.harvest(1)  # a retried harvest: same claims, nothing re-claimed
+    assert again.urls == out.urls and again.keys.tolist() == out.keys.tolist()
+
+
+def test_shard_methods_never_import_pyarrow():
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys\n"
+        "from spider_ray.state.seen import UrlSeenShard\n"
+        "s = UrlSeenShard()\n"
+        "s.check_and_add(0, ['https://a/0'])\n"
+        "s.offer(1, ['https://a/1'], [1])\n"
+        "s.harvest(1)\n"
+        "s.reset('bloom', 1 << 12)\n"
+        "assert 'pyarrow' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], cwd=root, check=True)
+
+
+def test_reset_clears_state_and_switches_mode():
+    s = UrlSeenShard(mode="exact")
+    s.check_and_add(0, ["https://a/1"])
+    s.offer(1, ["https://a/2"], [4])
+    s.harvest(1)
+    s.reset("bloom", 1 << 12)
+    assert s.stats()["mode"] == "bloom" and s.n_items() == 0
+    # neither the old seen set nor round 1's cached harvest survives
+    s.offer(1, ["https://a/1", "https://a/2"], [1, 2])
+    assert s.harvest(1).urls == ["https://a/1", "https://a/2"]
