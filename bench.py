@@ -27,10 +27,10 @@ import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NCPU = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-# physical-strategy knobs so alternate paths get MEASURED rows in
-# BASELINE.md, not just correctness tests: the pruned-read fetch
-# (GRAFT_FETCH_MODE=partitioned — the >object-store corpus path) and the
-# bloom seen shards (GRAFT_SEEN_MODE=bloom — the 10^9-url memory path)
+# the crawl's two physical-strategy knobs, so each path gets MEASURED rows
+# in BASELINE.md, not just correctness tests. GRAFT_FETCH_MODE is
+# indexed | partitioned (the pruned-read fetch — the >object-store corpus
+# path); GRAFT_SEEN_MODE is exact | bloom (the 10^9-url memory path)
 FETCH_MODE = os.environ.get("GRAFT_FETCH_MODE", "indexed")
 SEEN_MODE = os.environ.get("GRAFT_SEEN_MODE", "exact")
 
@@ -89,7 +89,7 @@ def run_crawl(corpus: str, tag: str, reps: int = 3) -> dict:
 
     from spider_ray.stages.fetch import load_corpus_ref, prewarm_workers
 
-    if FETCH_MODE.startswith("indexed"):
+    if FETCH_MODE == "indexed":
         ref = load_corpus_ref(corpus)
         prewarm_workers(ref, int(ray.cluster_resources().get("CPU", 4)))
     # seen shards scale WITH the cluster (SCALE.md: K ≈ nodes or a small

@@ -123,7 +123,7 @@ def final_merge(
         return ray.data.from_arrow(empty_schema.empty_table())
     base = ray.data.from_arrow_refs(refs)
     if total > threshold_rows:
-        base = base.repartition(default_join_partitions()).map_batches(
+        base = base.repartition(default_shuffle_partitions()).map_batches(
             fn, batch_format=batch_format, batch_size=None
         )
     return base.repartition(1).map_batches(
@@ -165,7 +165,7 @@ def merge_keyed_sums(
     )
 
 
-def default_join_partitions(floor: int = 4, cap: int = 256) -> int:
+def default_shuffle_partitions(floor: int = 4, cap: int = 256) -> int:
     """Join/aggregate fan-out scaled to the cluster: ~one hash partition per
     CPU, floored and capped. A hard-coded ``num_partitions=4`` is right at
     sf0.1 on one node but funnels every shuffle of a 256-node cluster

@@ -290,10 +290,10 @@ def embedding_near_dup_lsh(
     all-pairs answer), which is what makes the registry's exact-pairs SQL
     its driver oracle; the recall property is additionally pytest-gated
     against brute force in tests/test_dedup.py."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_partitions is None:
-        num_partitions = default_join_partitions()
+        num_partitions = default_shuffle_partitions()
     thr = threshold_pct
     rng = np.random.RandomState(_PLANES_SEED + 1)
     dim = len(query_vector(sf_dir, 0))

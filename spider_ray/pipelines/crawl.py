@@ -7,20 +7,19 @@ each round is one streaming Dataset pipeline:
 
   pending frontier (materialized; url, host, depth, rank)
     → politeness_split                      [per-host budgets, deferral]
-    → ONE streaming execution:              [dedup_mode="actor", default]
-        fetch (broadcast index | partitioned read | hash join)
+    → ONE streaming execution:
+        fetch (broadcast index | partitioned read)   [fetch_mode]
         → parse + store-part write + robots gate
         → dedup+claim OFFER to seen shards  [all-to-all = url-hash routing]
-    → HARVEST winners per shard → sort(claim_key) + dense rank
+    → HARVEST winners per shard → sort(claim_key) + dense rank  [_refill]
       (small rounds: driver sort + PARALLEL per-slice decode tasks whose
       output slices double as the next round's pre-split input blocks AND
       the checkpoint payload; large rounds: distributed sort+rank)
     → union with deferred → next pending
 
-(dedup_mode="groupby" keeps the equivalent Dataset-native pipeline:
-candidates as rows → groupby(url).min(claim_key) → seen-shard filter →
-sort+rank — same semantics, tested equal; the actor path exists because the
-string-key groupby shuffle measured ~6× slower at 10^6 candidates/round.)
+The no-cache crawl (``use_cache=False``, the reference's ``--no-cache``)
+runs the same body without the offer: the stage emits its candidate rows
+and ``_refill`` ranks those instead of shard harvests.
 
 Scale notes (the 100 TB / 10^10-URL design point):
 - Only frontier METADATA (url + 3 ints) is ever materialized or shuffled;
@@ -57,20 +56,17 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
-from ray.data.aggregate import Min
 
 from spider_ray.canonical import canonicalize, ensure_scheme, host_of, human_repr
 from spider_ray.oracle import robots_allows
 from spider_ray.stages import claim
-from spider_ray.stages.expand import (
-    add_host_column,
-    make_parse_store_expand,
-    make_robots_filter,
-)
-from spider_ray.stages.fetch import fetch_indexed, fetch_join, load_corpus_ref
+from spider_ray.stages.broadcast import session_key
+from spider_ray.stages.expand import add_host_column, make_parse_store_expand
+from spider_ray.stages.fetch import fetch_indexed, load_corpus_ref
 from spider_ray.stages.politeness import politeness_split
 from spider_ray.stages.rank import assign_ranks
 from spider_ray.state.seen import (
+    SEEN_MODES,
     Claims,
     UrlSeenShard,
     claims_table,
@@ -85,6 +81,7 @@ from spider_ray.state.seen import (
 LOG = logging.getLogger("spider_ray.crawl")
 
 FRONTIER_COLS = ["url", "host", "depth", "rank"]
+FETCH_MODES = ("indexed", "partitioned")
 FRONTIER_SCHEMA = pa.schema(
     [
         ("url", pa.string()),
@@ -117,13 +114,12 @@ class CrawlConfig:
     robots: dict[str, list[str]] | str | None = None
     host_budgets: dict[str, int] | None = None
     seen_shards: int = 8
-    seen_mode: str = "exact"  # "exact" | "bloom"
-    dedup_mode: str = "actor"  # "actor" (offer/harvest on shards) | "groupby"
+    seen_mode: str = "exact"  # SEEN_MODES: "exact" | "bloom"
     use_cache: bool = True  # False = reference --no-cache: no claims at all
     bloom_bits: int = 1 << 24
-    fetch_mode: str = "indexed"  # "indexed" (broadcast corpus, cached task fn)
-    # | "indexed_actors" (same, actor pool) | "join" (hash join vs corpus)
-    fetch_concurrency: int = 4
+    # FETCH_MODES: "indexed" (broadcast corpus, cached task fn) |
+    # "partitioned" (per-round reads of the frontier hosts' corpus files)
+    fetch_mode: str = "indexed"
     fetch_batch_size: int = 1024
     # parse batches bound BOTH per-batch memory (html + parsed text) AND the
     # dedup-offer granularity: each batch locally min-key-dedups its
@@ -131,8 +127,6 @@ class CrawlConfig:
     # mean fewer actor round-trips AND a better local dedup rate (links of
     # neighboring pages overlap heavily) — 2048 pages ≈ 8-16 MB per batch
     parse_batch_size: int = 2048
-    join_partitions: int = 8
-    prewarm: bool = False  # pre-build the corpus index in every worker
     # rows under these thresholds are ranked / checkpointed on the driver
     # (cheap metadata moves); above them the distributed sort+rank and
     # streaming write_parquet paths take over (see module constants)
@@ -174,29 +168,6 @@ def _store_rows_count(store_dir: str) -> int:
         pq.read_metadata(p).num_rows
         for p in glob.glob(os.path.join(store_dir, "*.parquet"))
     )
-
-
-def make_seen_filter(shards: list, round_id: int, n_shards: int):
-    """map_batches UDF: keep rows whose url is newly claimed by its shard.
-    Routing is one vectorized hash pass per batch (``iter_shard_groups``);
-    the driver's route sentinel rides the closure so a hash-skewed worker
-    fails loudly instead of mis-routing (see state/seen.py)."""
-    sentinel = route_sentinel()
-
-    def seen_filter(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        urls = batch.column("url").to_numpy(zero_copy_only=False)
-        keep = np.zeros(len(urls), dtype=bool)
-        futs, idxs = [], []
-        for s, rows in iter_shard_groups(urls, n_shards, sentinel):
-            futs.append(shards[s].check_and_add.remote(round_id, urls[rows].tolist()))
-            idxs.append(rows)
-        for rows, mask in zip(idxs, ray.get(futs)):
-            keep[rows] = mask
-        return batch.filter(pa.array(keep))
-
-    return seen_filter
 
 
 def _decode_candidates(batch: pa.Table) -> pa.Table:
@@ -247,20 +218,62 @@ def _presplit(tbl: pa.Table, nblocks: int) -> Dataset:
     )
 
 
+def _refill(source, n_cand: int, next_rank: int, cfg: CrawlConfig, cpus: int):
+    """Rank a round's new ``(url, claim_key)`` candidates into the next
+    frontier: ascending claim key, dense ranks from ``next_rank``, then
+    depth and host decoded from the key and url.
+
+    ``source`` is the round's shard harvests (a list of ``Claims`` refs) or,
+    for the no-cache crawl, the stage's materialized candidate Dataset.
+    Returns ``(ranked, n_new, slices)``; ``slices`` are the decoded
+    frontier refs of the driver path (see below), else None."""
+    harvested = isinstance(source, list)
+    if n_cand > cfg.small_round_rows:
+        if harvested:
+            source = ray.data.from_arrow_refs(
+                [_claims_table_task.remote(h) for h in source]
+            )
+        ranked, n_new = assign_ranks(
+            source.sort("claim_key"), next_rank, col="rank", post_fn=_decode_candidates
+        )
+        return ranked, n_new, None
+    # small round: sort+rank on the driver — a distributed execution costs
+    # more than the data
+    tbl = claims_table(ray.get(source)) if harvested else _collect_tables(source)
+    if tbl is None or tbl.num_rows == 0:
+        return None, 0, None
+    tbl = tbl.take(pa.compute.sort_indices(tbl, sort_keys=[("claim_key", "ascending")]))
+    n_new = tbl.num_rows
+    tbl = tbl.append_column(
+        "rank", pa.array(np.arange(next_rank, next_rank + n_new, dtype=np.int64))
+    )
+    # pre-split for the NEXT round's fetch (skips a repartition stage per
+    # round) with the decode running as PARALLEL per-slice tasks; the
+    # checkpoint writer collects the same decoded refs on its own thread (no
+    # put/get round trip and no serial decode on the driver)
+    step = -(-n_new // _target_blocks(n_new, cpus, cfg.fetch_batch_size))
+    # ONE put; tasks slice by (offset, length) — see _decode_block_task for
+    # the pickle trap
+    tref = ray.put(tbl)
+    slices = [
+        _decode_block_task.remote(tref, i, min(step, n_new - i))
+        for i in range(0, n_new, step)
+    ]
+    return ray.data.from_arrow_refs(slices), n_new, slices
+
+
 # Idle seen-shard actors of this process, per Ray session and shard class.
 # Spawning a shard process costs far more than a crawl round's shard work,
-# so crawls in one session share one set. The job id and the driver's node
-# id together name the session (a new local cluster restarts job ids), so a
+# so crawls in one session share one set. Keyed by ``session_key``, so a
 # handle from an earlier ``ray.init`` is never reused.
 _SHARD_POOL: dict[tuple, list] = {}
 _SHARD_POOL_LOCK = threading.Lock()
 
 
 def _shard_pool_key() -> tuple:
-    ctx = ray.get_runtime_context()
     # UrlSeenShard is read at call time: rebinding the module global swaps
     # the actor class, and such shards get a pool of their own
-    return ctx.get_job_id(), ctx.get_node_id(), UrlSeenShard
+    return (*session_key(), UrlSeenShard)
 
 
 def _take_shards(n: int, mode: str, bloom_bits: int) -> list:
@@ -314,7 +327,9 @@ def _seed_frontier(
     use_cache: bool = True,
 ) -> tuple[pa.Table, str]:
     """Driver-side round-0 admission: canonical seed list, robots-gated,
-    claimed in order (dense ranks from 0). Returns (frontier, start_url)."""
+    deduplicated here (unless ``use_cache`` is off), claimed on the shards
+    with ``bulk_add`` and ranked densely from 0. Returns (frontier,
+    start_url)."""
     start_url = canonicalize(ensure_scheme(seeds[0]))
     ordered: list[str] = []
     seen_local: set[str] = set()
@@ -324,11 +339,11 @@ def _seed_frontier(
             continue
         seen_local.add(c)
         ordered.append(c)
-    # claim on the shards (round_id 0) — keeps shard state authoritative
+    # claim on the shards — keeps shard state authoritative
     seed_arr = np.asarray(ordered, dtype=object)
     ray.get(
         [
-            shards[s].check_and_add.remote(0, seed_arr[rows].tolist())
+            shards[s].bulk_add.remote(seed_arr[rows].tolist())
             for s, rows in iter_shard_groups(seed_arr, n_shards)
         ]
     )
@@ -342,8 +357,6 @@ def _seed_frontier(
         schema=FRONTIER_SCHEMA,
     )
     return tbl, start_url
-
-
 
 
 def _target_blocks(n_rows: int, cpus: int, batch_size: int) -> int:
@@ -550,6 +563,14 @@ def crawl(
         raise ValueError("crawl() needs at least one seed url")
     cfg = replace(cfg or CrawlConfig(), **overrides)
     assert cfg.max_depth <= claim.MAX_DEPTH
+    if cfg.fetch_mode not in FETCH_MODES:
+        raise ValueError(
+            f"unknown fetch_mode {cfg.fetch_mode!r} (expected one of {FETCH_MODES})"
+        )
+    if cfg.seen_mode not in SEEN_MODES:
+        raise ValueError(
+            f"unknown seen_mode {cfg.seen_mode!r} (expected one of {SEEN_MODES})"
+        )
     if cfg.proxy is not None:
         from spider_ray.config import validate_proxy
 
@@ -605,14 +626,7 @@ def _crawl_rounds(
     shards: list,
 ) -> CrawlResult:
     """The round loop of ``crawl`` on shards the caller owns."""
-    robots_fn = make_robots_filter(cfg.robots) if cfg.robots else None
-    corpus_ref = (
-        load_corpus_ref(corpus_path) if cfg.fetch_mode.startswith("indexed") else None
-    )
-    if corpus_ref is not None and cfg.prewarm:
-        from spider_ray.stages.fetch import prewarm_workers
-
-        prewarm_workers(corpus_ref, int(ray.cluster_resources().get("CPU", 4)))
+    corpus_ref = load_corpus_ref(corpus_path) if cfg.fetch_mode == "indexed" else None
 
     start_url = canonicalize(ensure_scheme(seeds[0]))
     parent_value = human_repr(start_url)
@@ -664,160 +678,55 @@ def _crawl_rounds(
             target_blocks = _target_blocks(n_fetch, cpus, cfg.fetch_batch_size)
             if n_fetch > 0 and not (pending_presplit and deferred is None):
                 fetch_now = fetch_now.repartition(target_blocks)
-            ranked_tbl = None  # set by the small-round refill path
 
-            if cfg.fetch_mode in ("indexed", "indexed_actors"):
-                fetched = fetch_indexed(
-                    fetch_now,
-                    corpus_ref,
-                    cfg.fetch_concurrency,
-                    cfg.fetch_batch_size,
-                    actors=cfg.fetch_mode == "indexed_actors",
-                )
-            elif cfg.fetch_mode == "partitioned":
+            if cfg.fetch_mode == "indexed":
+                fetched = fetch_indexed(fetch_now, corpus_ref, cfg.fetch_batch_size)
+            else:
                 from spider_ray.stages.fetch import fetch_partitioned
 
                 fetched = fetch_partitioned(fetch_now, corpus_path)
-            else:
-                fetched = fetch_join(fetch_now, corpus_path, cfg.join_partitions)
 
-            if not cfg.use_cache:
-                # --no-cache (use_cache.py:19-28): every candidate occurrence is
-                # admitted — no dedup, no seen claims; ordering still canonical
-                cand = fetched.map_batches(
-                    make_parse_store_expand(
-                        start_url, parent_value, cfg.max_depth, store_dir
-                    ),
-                    batch_format="pyarrow",
-                    batch_size=cfg.parse_batch_size,
-                    zero_copy_batch=True,
-                )
-                if robots_fn is not None:
-                    cand = cand.map_batches(robots_fn, batch_format="pyarrow")
-                cand = cand.materialize()
-                t_parse = time.perf_counter() - t0
-                crawled_this = _store_rows_count(store_dir)
-                n_cand = cand.count()
-                t1 = time.perf_counter()
-                ranked, n_new = None, 0
-                if n_cand > 0:
-                    ranked, n_new = assign_ranks(
-                        cand.sort("claim_key"),
-                        next_rank,
-                        col="rank",
-                        post_fn=_decode_candidates,
-                    )
-                t_refill = time.perf_counter() - t1
-            elif cfg.dedup_mode == "actor":
-                # ONE streaming execution for the whole round body: fetch →
-                # parse → store-part write → robots gate → dedup+claim OFFER to
-                # the seen shards (fused in expand.py). Only per-batch counts
-                # come back; candidates never hit the object store. The
-                # candidates' one unavoidable all-to-all is the url-hash actor
-                # routing itself.
-                stage = make_parse_store_expand(
-                    start_url,
-                    parent_value,
-                    cfg.max_depth,
-                    store_dir,
-                    offer_to=(shards, r + 1, cfg.seen_shards, route_sentinel()),
-                    robots_rules=cfg.robots,
-                )
-                counts = fetched.map_batches(
-                    stage,
-                    batch_format="pyarrow",
-                    batch_size=cfg.parse_batch_size,
-                    zero_copy_batch=True,
-                ).materialize()
-                t_parse = time.perf_counter() - t0
-                ctbl = _collect_tables(counts)
+            # ONE streaming execution for the whole round body: fetch →
+            # parse → store-part write → robots gate → dedup+claim OFFER to
+            # the seen shards (fused in expand.py). Only per-batch counts
+            # come back; candidates never hit the object store. The
+            # candidates' one unavoidable all-to-all is the url-hash actor
+            # routing itself. --no-cache (use_cache.py:19-28) admits every
+            # candidate occurrence: nothing is offered or claimed, and the
+            # stage returns the candidate rows instead of counts.
+            stage = make_parse_store_expand(
+                start_url,
+                parent_value,
+                cfg.max_depth,
+                store_dir,
+                offer_to=(
+                    (shards, r + 1, cfg.seen_shards, route_sentinel())
+                    if cfg.use_cache
+                    else None
+                ),
+                robots_rules=cfg.robots,
+            )
+            out = fetched.map_batches(
+                stage,
+                batch_format="pyarrow",
+                batch_size=cfg.parse_batch_size,
+                zero_copy_batch=True,
+            ).materialize()
+            t_parse = time.perf_counter() - t0
+            if cfg.use_cache:
+                ctbl = _collect_tables(out)
                 crawled_this = int(pa.compute.sum(ctbl.column("crawled")).as_py()) if ctbl else 0
                 n_cand = int(pa.compute.sum(ctbl.column("candidates")).as_py()) if ctbl else 0
-
-                t1 = time.perf_counter()
-                ranked, n_new = None, 0
-                if n_cand > 0:
-                    harvests = [s.harvest.remote(r + 1) for s in shards]
-                    if n_cand <= cfg.small_round_rows:
-                        # small round: sort+rank on the driver — a distributed
-                        # execution costs more than the data
-                        tbl = claims_table(ray.get(harvests))
-                        if tbl.num_rows:
-                            order = pa.compute.sort_indices(
-                                tbl, sort_keys=[("claim_key", "ascending")]
-                            )
-                            tbl = tbl.take(order)
-                            ranks = pa.array(
-                                np.arange(next_rank, next_rank + tbl.num_rows, dtype=np.int64)
-                            )
-                            tbl = tbl.append_column("rank", ranks)
-                            n_new = tbl.num_rows
-                            # pre-split for the NEXT round's fetch (skips a
-                            # repartition stage per round) with the decode
-                            # running as PARALLEL per-slice tasks; the
-                            # checkpoint writer collects the same decoded
-                            # refs on its own thread (no put/get round trip
-                            # and no serial decode on the driver)
-                            nblocks = _target_blocks(n_new, cpus, cfg.fetch_batch_size)
-                            step = -(-n_new // nblocks)
-                            # ONE put; tasks slice by (offset, length) —
-                            # see _decode_block_task for the pickle trap
-                            tref = ray.put(tbl)
-                            dec_refs = [
-                                _decode_block_task.remote(
-                                    tref, i, min(step, n_new - i)
-                                )
-                                for i in range(0, n_new, step)
-                            ]
-                            ranked = ray.data.from_arrow_refs(dec_refs)
-                            ranked_tbl = dec_refs
-                    else:
-                        new = ray.data.from_arrow_refs(
-                            [_claims_table_task.remote(h) for h in harvests]
-                        )
-                        ranked, n_new = assign_ranks(
-                            new.sort("claim_key"),
-                            next_rank,
-                            col="rank",
-                            post_fn=_decode_candidates,
-                        )
-                t_refill = time.perf_counter() - t1
             else:
-                cand = fetched.map_batches(
-                    make_parse_store_expand(
-                        start_url, parent_value, cfg.max_depth, store_dir
-                    ),
-                    batch_format="pyarrow",
-                    batch_size=cfg.parse_batch_size,
-                    zero_copy_batch=True,
-                )
-                if robots_fn is not None:
-                    cand = cand.map_batches(robots_fn, batch_format="pyarrow")
-                cand = cand.materialize()  # store parts + candidates exactly once
-                t_parse = time.perf_counter() - t0
-
                 crawled_this = _store_rows_count(store_dir)
-                n_cand = cand.count()
+                n_cand = out.count()
 
-                t1 = time.perf_counter()
-                ranked, n_new = None, 0
-                if n_cand > 0:
-                    uniq = cand.groupby("url").aggregate(
-                        Min("claim_key", alias_name="claim_key")
-                    )
-                    new = uniq.map_batches(
-                        make_seen_filter(shards, r + 1, cfg.seen_shards),
-                        batch_format="pyarrow",
-                    )
-                    # decode fused into the rank tasks — one execution for
-                    # groupby→seen→sort→rank→decode
-                    ranked, n_new = assign_ranks(
-                        new.sort("claim_key"),
-                        next_rank,
-                        col="rank",
-                        post_fn=_decode_candidates,
-                    )
-                t_refill = time.perf_counter() - t1
+            t1 = time.perf_counter()
+            ranked, n_new, ranked_slices = None, 0, None
+            if n_cand > 0:
+                source = [s.harvest.remote(r + 1) for s in shards] if cfg.use_cache else out
+                ranked, n_new, ranked_slices = _refill(source, n_cand, next_rank, cfg, cpus)
+            t_refill = time.perf_counter() - t1
 
             next_rank += n_new
             total_calls += n_fetch
@@ -832,7 +741,7 @@ def _crawl_rounds(
             if ranked is not None:
                 parts.append(ranked)
             pending = _union_parts(parts)
-            pending_presplit = ranked_tbl is not None and len(parts) == 1
+            pending_presplit = ranked_slices is not None and len(parts) == 1
 
             metrics.append(
                 {
@@ -873,7 +782,7 @@ def _crawl_rounds(
                 if pending_presplit:
                     # decoded frontier slice refs — the writer thread
                     # collects them itself (no put/get round trip here)
-                    p_tbls, p_refs = [], list(ranked_tbl)
+                    p_tbls, p_refs = [], list(ranked_slices)
                 else:
                     p_tbls = [
                         t for p in parts for t in [_collect_tables(p)] if t is not None

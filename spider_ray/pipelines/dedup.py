@@ -215,9 +215,9 @@ def exact_dedup(sf_dir: str) -> Dataset:
     ``groupby((fp_hi, fp_lo))`` sort-aggregate measured ~1.3 s slower at
     sf0.1. The hex column the oracle expects is rebuilt VECTORIZED (one
     hexlify over the packed digests) after the reduce."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
-    num_shards = default_join_partitions()
+    num_shards = default_shuffle_partitions()
 
     def fp(batch: pd.DataFrame) -> pd.DataFrame:
         digs = b"".join(hashlib.md5(t.encode()).digest() for t in batch["text"])
@@ -370,9 +370,9 @@ def minhash_lsh_pairs(
     band keys and id pairs; text moves once (into the sketch pass)."""
     pct = int(round(jaccard_threshold * 100))
     if num_partitions is None:
-        from spider_ray.blockutil import default_join_partitions
+        from spider_ray.blockutil import default_shuffle_partitions
 
-        num_partitions = default_join_partitions()
+        num_partitions = default_shuffle_partitions()
     if isinstance(docs, str):
         # re-split: a single parquet file arrives as one block and the
         # shingle-hash pass is CPU-heavy — one task would serialize it
@@ -586,9 +586,9 @@ def _clusters_label_propagation(
     from ray.data.aggregate import Min as AggMin
 
     if num_shards is None:
-        from spider_ray.blockutil import default_join_partitions
+        from spider_ray.blockutil import default_shuffle_partitions
 
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
 
     def symmetrize(b: pa.Table) -> pa.Table:
         a = b.column("doc_a").to_numpy()
@@ -800,9 +800,9 @@ def simhash_near_dup_pairs(
     band_bits = 64 // bands
     mask = np.uint64((1 << band_bits) - 1)
     if num_partitions is None:
-        from spider_ray.blockutil import default_join_partitions
+        from spider_ray.blockutil import default_shuffle_partitions
 
-        num_partitions = default_join_partitions()
+        num_partitions = default_shuffle_partitions()
 
     def to_bands(batch: pd.DataFrame) -> pa.Table:
         sh = np.fromiter(

@@ -76,9 +76,9 @@ def pagerank_docs(
 
     ranks = docs.map_batches(init, batch_format="pyarrow")
 
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
-    num_shards = default_join_partitions()
+    num_shards = default_shuffle_partitions()
 
     def step(b: pa.Table) -> pa.Table:
         node = b.column("node").to_numpy()

@@ -412,9 +412,9 @@ def top_users_by_events(sf_dir: str, k: int = 10) -> Dataset:
     the union of shard top-ks) → answer-sized final merge. The shuffle
     carries O(users × blocks) rows, never O(events), and nothing pays a
     user-grain sort."""
-    from spider_ray.blockutil import default_join_partitions, final_merge
+    from spider_ray.blockutil import default_shuffle_partitions, final_merge
 
-    num_shards = default_join_partitions()
+    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -502,10 +502,10 @@ def q3_shipping_priority(
     cast back to timestamp[us] at the very end. Revenue uses the q1
     integer contract: ``revenue_c4 = Σ cents(extprice) × (100 −
     cents(discount))`` so partial sums match DuckDB bit-exactly."""
-    from spider_ray.blockutil import default_join_partitions, final_merge
+    from spider_ray.blockutil import default_shuffle_partitions, final_merge
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     cut_us = np.int64(np.datetime64(cutoff, "us").astype(np.int64))
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
@@ -736,10 +736,10 @@ def distinct_users_per_type(sf_dir: str, num_shards: int | None = None) -> Datas
     that is the irreducible cost of an EXACT distinct (the approximate
     alternative at unbounded user cardinality is an HLL sketch, which this
     engine would slot into the same combiner shape)."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
     def local_distinct(b: pa.Table) -> pd.DataFrame:
@@ -806,13 +806,13 @@ def distinct_users_hll(sf_dir: str, precision_bits: int = 12) -> pa.Table:
     tests pin ≤ 5 % against the exact operator at sf0.01. No SQL oracle by
     design (DuckDB's approx_count_distinct is a different HLL
     implementation) — the driver records the rows-only check."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     p = precision_bits
     m = 1 << p
     suffix_bits = np.uint64(64 - p)
     suffix_mask = np.uint64((1 << (64 - p)) - 1)
-    num_shards = default_join_partitions()
+    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
     def _merge_by_kid(kid, rho, et):
@@ -886,10 +886,10 @@ def orders_without_lineitems(sf_dir: str, num_shards: int | None = None) -> Data
     O(distinct keys per block), not O(lineitem rows); each shard then does
     one vectorized searchsorted membership test. No broadcast: both sides
     may be fact-table-sized."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     line = _read(sf_dir, "lineitem", ["l_orderkey"])
 
@@ -1121,10 +1121,10 @@ def asof_prev_event(
     shard would need the salt-and-merge variant (salt the build side, probe
     each salt — the documented seam, not built because merge_asof's
     per-shard cost is already linear-ish)."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     part = _tagged_event_union(sf_dir, left_type, right_type, num_shards)
 
     def shard_asof(g: pd.DataFrame) -> pd.DataFrame:
@@ -1179,10 +1179,10 @@ def events_range_join(
     join the seam is time-bucket partitioning with ±1-bucket replication of
     the build side — not built because every reference- and brief-named use
     is keyed."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     gap = np.int64(window_minutes * 60 * 1_000_000)
     part = _tagged_event_union(sf_dir, left_type, right_type, num_shards)
 
@@ -1269,7 +1269,11 @@ def length_quantiles_by_source(
     # pandas merge beats a sort-based all-to-all before an inevitable
     # to_pandas (the doc_length_quantiles rationale)
     hist = ds.map_batches(local_counts, batch_format="pyarrow").to_pandas()
-    if len(hist):
+    if hist.empty:
+        # no documents: Ray drops the columns of a zero-row to_pandas —
+        # rebuild the empty frame with its schema
+        hist = pd.DataFrame({"source": [], "n_chars": [], "n": []})
+    else:
         hist = hist.groupby(["source", "n_chars"], as_index=False)["n"].sum()
     names = [f"p{round(q * 100)}" for q in qs]
     out: dict[str, list] = {"source": []}
@@ -1309,10 +1313,10 @@ def user_running_total(
     out, never collects."""
     import ray as _ray
 
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
 
     def tag(b: pa.Table) -> pd.DataFrame:
@@ -1434,10 +1438,10 @@ def user_event_gaps(sf_dir: str, num_shards: int | None = None) -> Dataset:
     count/sum/max). Determinism under tied timestamps: the gap multiset of
     a sorted sequence depends only on the ts multiset, so every aggregate
     here is tie-order-invariant on both engines."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def tag(b: pa.Table) -> pd.DataFrame:
@@ -1503,10 +1507,10 @@ def event_type_transitions(sf_dir: str, num_shards: int | None = None) -> Datase
     type); per shard one lexsort + shifted compare builds the pairs and a
     vectorized groupby emits ≤ types² partial rows; a metadata-sized
     groupby sums shard partials."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def tag(b: pa.Table) -> pd.DataFrame:
@@ -1582,10 +1586,10 @@ def order_lineitem_counts(sf_dir: str, num_shards: int | None = None) -> Dataset
     re-reduces its partials and probes them from the orders side with one
     ``searchsorted``, emitting zero-filled misses. Output is row-sized by
     contract (one row per order) and streams — never collected."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     orders = _read(sf_dir, "orders", ["o_orderkey"])
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
@@ -1677,9 +1681,9 @@ def events_type_pivot(
     the q1 combiner contract, never one row per event. An UNKNOWN-vocab
     pivot would need a distinct-types pass first (the two-phase seam);
     every named use here has a closed vocabulary."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
-    num_shards = default_join_partitions()
+    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
     names = [f"n_{t}" for t in types]
 
@@ -1826,10 +1830,10 @@ def q5_revenue_by_nation(
 
     Revenue uses the q1 integer contract (``cents(extprice) × (100 −
     cents(discount))``) so partial sums match DuckDB bit-exactly."""
-    from spider_ray.blockutil import default_join_partitions, final_merge
+    from spider_ray.blockutil import default_shuffle_partitions, final_merge
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     lo_us = np.int64(np.datetime64(date_lo, "us").astype(np.int64))
     hi_us = np.int64(np.datetime64(date_hi, "us").astype(np.int64))
 
@@ -1987,10 +1991,10 @@ def latest_event_per_user(sf_dir: str, num_shards: int | None = None) -> Dataset
     vectorized reduce picks the global winner. Timestamps cross the shuffle
     as int64 epoch-µs (the events_hourly contract) and come back as
     timestamp[us] at the end."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def _argmax_rows(user, ts, eid, etype):
@@ -2101,9 +2105,9 @@ def repeat_buyers(sf_dir: str) -> Dataset:
     maximum.reduceat per shard ORs the flags AND applies the both-flags
     filter locally — rows shuffled = O(users × blocks) flag rows, shard
     output already answer-sized (no user-grain sort-aggregate)."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
-    num_shards = default_join_partitions()
+    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2227,10 +2231,10 @@ def high_value_lineitem_stats(
     documented seam, same contract. Exactness does NOT depend on the bloom:
     every survivor is re-verified against the true key set in the shard
     semi-join below, so false positives cost only shuffle bytes."""
-    from spider_ray.blockutil import default_join_partitions, final_merge
+    from spider_ray.blockutil import default_shuffle_partitions, final_merge
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     thresh = np.int64(min_total_cents)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
@@ -2396,7 +2400,13 @@ def doc_length_ranks(sf_dir: str) -> Dataset:
     # beats a sort-based all-to-all before an inevitable to_pandas (the
     # doc_length_quantiles rationale)
     hist = ds.map_batches(val_partial, batch_format="pyarrow").to_pandas()
-    if len(hist):
+    if hist.empty:
+        # no documents: Ray drops the columns of a zero-row to_pandas —
+        # rebuild the empty frame with its schema
+        hist = pd.DataFrame(
+            {"value": np.array([], np.int64), "n": np.array([], np.int64)}
+        )
+    else:
         hist = hist.groupby("value", as_index=False)["n"].sum()
     vals = hist["value"].to_numpy()
     order = np.argsort(vals, kind="stable")
@@ -2561,10 +2571,10 @@ def signup_click_purchase_funnel(
     the chain evaluates VECTORIZED: per-user min signup via a masked
     ``np.minimum.at``, one threshold-mask per subsequent step — no
     per-user Python loop."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     steps = {"signup": 0, "click": 1, "purchase": 2}
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
@@ -2736,9 +2746,9 @@ def q18_large_orders(sf_dir: str, min_qty: int = 300) -> Dataset:
     qualifying (orderkey, sum_qty_c) + the customer name dimension → one
     streaming probe pass over orders. No fact⋈fact shuffle: the only
     exchange is the combiner-reduced shard groupby."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
-    num_shards = default_join_partitions()
+    num_shards = default_shuffle_partitions()
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2852,10 +2862,10 @@ def user_value_moving_sum(
     cum[max(group_start, i−w+1) − 1]`` computed with one ``np.maximum``
     over the per-row group-start index — no per-row loop, no per-user
     Python call."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
 
     def tag(b: pa.Table) -> pd.DataFrame:
@@ -2960,9 +2970,9 @@ def clickers_without_purchase(sf_dir: str) -> Dataset:
     EXCEPT filter locally (no pair-grain sort-aggregate). Day crosses the
     shuffle as int64 epoch-µs (the events_hourly rule) and is cast back
     after."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
-    num_shards = default_join_partitions()
+    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -3042,10 +3052,10 @@ def late_shipment_priority_counts(
     per-batch UNIQUE qualifying orderkeys before the exchange, the shard
     does one searchsorted membership test, and the per-priority counts
     leave each shard as ≤ 5 partial rows."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     cutoff_us = np.int64(np.datetime64(ship_cutoff, "us").astype(np.int64))
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
@@ -3199,9 +3209,9 @@ def hourly_active_users(sf_dir: str) -> Dataset:
     pair-grain ``groupby((hour, user))`` + hour-grain groupby pair of
     sort-based all-to-alls (2.7 s → ~1.2 s at sf0.1/32 cpus). Hour
     crosses the shuffle as int64 epoch-µs (the events_hourly rule)."""
-    from spider_ray.blockutil import default_join_partitions, merge_keyed_sums
+    from spider_ray.blockutil import default_shuffle_partitions, merge_keyed_sums
 
-    num_shards = default_join_partitions()
+    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def partial(b: pa.Table) -> pa.Table:

@@ -265,12 +265,12 @@ def reconcile_stores(old_dir: str, new_dir: str, out_path: str, overwrite: bool 
     winners = drop_empty_blocks(
         winners, pa.schema([("url", pa.string()), ("_k", pa.int64())])
     )
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     merged = rows.join(
         winners,
         join_type="inner",
-        num_partitions=default_join_partitions(floor=8),
+        num_partitions=default_shuffle_partitions(floor=8),
         on=("url", "_k"),
     )
 

@@ -311,14 +311,14 @@ def token_doc_frequency(sf_dir: str, k: int = 50) -> Dataset:
     O(vocab × blocks) partial rows, never O(token occurrences): at the
     100 TB design point the exchange is bounded by vocabulary size, the
     same combiner contract as q1. The final top-k is a vocab-sized sort."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     ds = _docs(sf_dir, ["doc_id", "text"])
     return _token_shard_topk(
         ds.map_batches(_partial_df, batch_format="pyarrow"),
         "df",
         k,
-        default_join_partitions(),
+        default_shuffle_partitions(),
     )
 
 
@@ -367,13 +367,13 @@ def top_tokens(sf_dir: str, k: int = 50) -> Dataset:
         keep = pc.not_equal(tok, "")
         return pa.table({"token": tok.filter(keep), "n": cnt.filter(keep)})
 
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     return _token_shard_topk(
         ds.map_batches(partial_tf, batch_format="pyarrow"),
         "n",
         k,
-        default_join_partitions(),
+        default_shuffle_partitions(),
     )
 
 
@@ -458,10 +458,10 @@ def tfidf_top_terms(
       the (doc_id, token, tf) stream, then a doc-hash shuffle runs the
       per-doc top-k per shard. Both exchanges carry combiner-reduced
       (doc, token) metadata rows, never token occurrences or text."""
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     ds = _docs(sf_dir, ["doc_id", "text"])
     df_mat = _token_shard_sum(
         ds.map_batches(_partial_df, batch_format="pyarrow"), "df", num_shards
@@ -779,9 +779,9 @@ def clean_dedup_corpus(sf_dir: str, min_tokens: int = 10, max_dup_pct: int = 20,
     import shutil
     import tempfile
 
-    from spider_ray.blockutil import default_join_partitions, read_clean_parquet
+    from spider_ray.blockutil import default_shuffle_partitions, read_clean_parquet
 
-    num_shards = default_join_partitions()
+    num_shards = default_shuffle_partitions()
     names = [nm for nm, _ in LANG_MARKERS]
     li = names.index(lang)
 
@@ -914,10 +914,10 @@ def top_bigrams(sf_dir: str, k: int = 40, num_shards: int | None = None) -> Data
     heavy_hitter_tokens' count-min sketch (same contract, sketched)."""
     import pyarrow.compute as pc
 
-    from spider_ray.blockutil import default_join_partitions, final_merge
+    from spider_ray.blockutil import default_shuffle_partitions, final_merge
 
     if num_shards is None:
-        num_shards = default_join_partitions()
+        num_shards = default_shuffle_partitions()
     ds = _docs(sf_dir, ["text"])
 
     def partial(b: pa.Table) -> pd.DataFrame:

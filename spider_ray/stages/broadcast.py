@@ -24,3 +24,12 @@ def get_broadcast(ref):
             _CACHE.clear()
         _CACHE[ref] = obj
     return obj
+
+
+def session_key() -> tuple:
+    """Names the current Ray session: the job id plus the driver's node id
+    (a new local cluster restarts job ids at ``01000000``). Driver-side
+    memos of ObjectRefs or actor handles key on it, so nothing from an
+    earlier ``ray.init`` in the same process is ever reused."""
+    ctx = ray.get_runtime_context()
+    return ctx.get_job_id(), ctx.get_node_id()

@@ -2,10 +2,10 @@
 
 A candidate's claim priority is the lexicographic triple
 ``(depth, parent_rank, link_pos)`` (SURVEY.md §3.1). Packing it into a single
-int64 turns the per-round first-wins dedup into a plain
-``groupby("url").min(claim_key)`` — one vectorized shuffle aggregate with no
-row join-back, because the winning row's depth/parent_rank/link_pos are all
-recoverable from the key itself.
+int64 turns the per-round first-wins dedup into a plain per-url minimum of
+one integer (the seen shards' ``offer``/``harvest``) with no row join-back,
+because the winning row's depth/parent_rank/link_pos are all recoverable
+from the key itself.
 
 Bit layout (63 bits used, sign bit clear so int64 ordering == priority):
   depth: 7 bits (max crawl depth 127)

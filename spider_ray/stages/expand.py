@@ -11,9 +11,13 @@ link generation crawler.py:140-154):
       partials). Writing inside the stage instead of a second
       ``write_parquet`` pipeline avoids re-running the parse (Ray Data
       datasets re-execute per consumption) and keeps the round single-pass.
-  out: candidate rows ``(url, claim_key)`` — one per extracted link of pages
-      with ``depth < max_depth`` (depth gate, crawler.py:114-115), already
-      canonicalized and quirk-filtered (canonical.generate_refs).
+  candidates: ``(url, claim_key)`` — one per extracted link of pages with
+      ``depth < max_depth`` (depth gate, crawler.py:114-115), already
+      canonicalized and quirk-filtered (canonical.generate_refs), then
+      robots-gated.
+  out: one ``(crawled, candidates)`` count row per batch, the candidates
+      having been offered to the seen shards; or, for the no-cache crawl,
+      the candidate rows themselves.
 
 The store part file is the reference's fire-and-forget ``db.save``
 (crawler.py:106-112) made durable AND retry-idempotent: the part file name
@@ -85,13 +89,15 @@ def make_parse_store_expand(
     offer_to=None,
     robots_rules=None,
 ):
-    """When ``offer_to=(shards, round_id, n_shards, route_sentinel)`` is
-    given, candidates
-    are routed straight to the seen shards (UrlSeenShard.offer) from inside
-    this stage and only per-batch COUNTS flow downstream — the whole round
-    body (fetch → parse → store write → robots → dedup offer) is then ONE
-    streaming execution with no candidate blocks in the object store.
-    Without it, candidate rows are emitted for the groupby dedup path."""
+    """The round's one ``map_batches`` stage. Candidate links pass the
+    robots gate (``robots_rules``) inline. With
+    ``offer_to=(shards, round_id, n_shards, route_sentinel)`` they are then
+    routed straight to the seen shards (UrlSeenShard.offer) and only
+    per-batch COUNTS flow downstream — the whole round body (fetch → parse
+    → store write → robots → dedup offer) is ONE streaming execution with
+    no candidate blocks in the object store. With ``offer_to=None`` (the
+    no-cache crawl, which claims nothing) the candidate rows themselves are
+    the output."""
 
     def parse_store_expand(batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_pylist()
@@ -112,7 +118,7 @@ def make_parse_store_expand(
                     cand_urls.append(child)
                     cand_keys.append(claim.encode(depth + 1, rank, pos))
 
-        if offer_to is not None and robots_rules:
+        if robots_rules:
             cand_urls, cand_keys = _robots_keep(cand_urls, cand_keys, robots_rules)
 
         if urls:
@@ -207,26 +213,6 @@ def add_host_column(batch: pa.Table, url_col: str = "url") -> pa.Table:
     return batch.append_column("host", pc.fill_null(host, ""))
 
 
-def make_robots_filter(rules: dict[str, list[str]]):
-    """Drop candidates whose (host, path) matches a disallow prefix.
-
-    ``rules``: host → list of disallowed path prefixes ('' = everything).
-    The rules table is a closure constant — broadcast once with the function
-    object, never re-shipped per batch (it is a small per-host table even at
-    web scale; a 10^8-host rule set would move to a ``ray.put`` handle).
-    Uses the vectorized batch form of the oracle's ``robots_allows``
-    (robots.robots_keep_mask, equality-pinned) — no per-row Python."""
-    from spider_ray.robots import robots_keep_mask
-
-    def robots_filter(batch: pa.Table) -> pa.Table:
-        if not rules or batch.num_rows == 0:
-            return batch
-        keep = robots_keep_mask(batch.column("url"), rules)
-        return batch.filter(pa.array(keep))
-
-    return robots_filter
-
-
 def finalize_store(store_root: str, out_path: str) -> None:
     """Optional exactness net after task retries: rewrite the store keeping
     one row per url (min discovery_rank). Reference analog: the DB's
@@ -246,7 +232,7 @@ def finalize_store(store_root: str, out_path: str) -> None:
     from ray.data.aggregate import Min
 
     from spider_ray.blockutil import (
-        default_join_partitions,
+        default_shuffle_partitions,
         drop_empty_blocks,
         read_clean_parquet,
     )
@@ -260,7 +246,7 @@ def finalize_store(store_root: str, out_path: str) -> None:
     merged = rows.join(
         winners,
         join_type="inner",
-        num_partitions=default_join_partitions(floor=8),
+        num_partitions=default_shuffle_partitions(floor=8),
         on=("url", "discovery_rank"),
     )
 

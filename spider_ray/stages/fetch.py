@@ -5,7 +5,7 @@ from the corpus is the fetch-failure path (crawler.py:102-104): the row is
 dropped here and accounted as a miss by the driver (fetched − crawled),
 never retried — reference semantics.
 
-Two physical strategies (SURVEY.md §2.1 S1):
+Two physical strategies (SURVEY.md §2.1 S1), chosen by ``fetch_mode``:
 
 - **indexed** (default): the corpus html table AND a hash-sorted url index
   (two numpy arrays) are ``ray.put`` ONCE by the driver; every worker reads
@@ -13,13 +13,10 @@ Two physical strategies (SURVEY.md §2.1 S1):
   all — and serves each batch with a vectorized ``searchsorted`` + one
   Arrow ``take``. This is the broadcast-small-side pattern — right whenever
   the corpus fits the cluster object store.
-- **join**: per round, inner hash-join of the frontier against
-  ``read_parquet(corpus, columns=[url, html])`` on ``url``
-  (``Dataset.join``, hash-partitioned). Right when the corpus is far larger
-  than the object store; costs a corpus scan per round, so real deployments
-  would bucket the corpus by ``crc32(url) % B`` at ingest and read only the
-  buckets the frontier touches — the layout ``write_corpus`` mirrors with
-  per-host files.
+- **partitioned**: per round, group the frontier by host and read only the
+  corpus files and row groups that hold those hosts' urls
+  (``fetch_partitioned``). Right when the corpus is far larger than the
+  object store: per-round I/O follows the frontier's hosts, not the corpus.
 """
 
 from __future__ import annotations
@@ -205,30 +202,7 @@ def prewarm_workers(table_ref, n_workers: int) -> None:
     ray.get([_warm.remote(i) for i in range(n_workers)])
 
 
-class CorpusFetcher:
-    """Actor-pool variant of the same stage (``fetch_mode="indexed_actors"``):
-    the shape to use when per-worker state must NOT be process-global (e.g.
-    a model handle or GPU context per actor)."""
-
-    def __init__(self, table_ref):
-        self._idx = _CorpusIndex(ray.get(table_ref))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self._idx.lookup(batch)
-
-
-def fetch_indexed(
-    frontier: Dataset, table_ref, concurrency: int, batch_size: int, actors: bool = False
-) -> Dataset:
-    if actors:
-        return frontier.map_batches(
-            CorpusFetcher,
-            fn_constructor_args=(table_ref,),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
+def fetch_indexed(frontier: Dataset, table_ref, batch_size: int) -> Dataset:
     return frontier.map_batches(
         make_fetch_fn(table_ref), batch_format="pyarrow", batch_size=batch_size
     )
@@ -308,35 +282,23 @@ def fetch_partitioned(
     )
 
 
-def fetch_join(frontier: Dataset, corpus_path: str, num_partitions: int) -> Dataset:
-    """Hash-join fetch for corpora too big to broadcast."""
-    from spider_ray.blockutil import drop_empty_blocks
-
-    pages = ray.data.read_parquet(corpus_path, columns=["url", "html"])
-    # the frontier side can carry empty blocks (politeness filters) — every
-    # join input must be empty-block-free, see blockutil.drop_empty_blocks
-    joined = drop_empty_blocks(frontier.select_columns(["url", "depth", "rank"])).join(
-        pages,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("url",),
-    )
-    return joined
-
-
 _REF_CACHE: dict = {}
 
 
 def load_corpus_ref(corpus_path: str):
     """Driver-side: read the corpus (url+html only — prune at the read) and
     put it in the object store once for all fetch workers. Memoized per
-    (path, file list, max mtime) so repeated crawls (warmup + measured run,
-    kill + resume) share one broadcast copy while a corpus REGENERATED at
-    the same path within one Ray session is re-read instead of silently
-    serving stale pages."""
-    import pyarrow.parquet as pq
+    (Ray session, path, file list, max mtime) so repeated crawls (warmup +
+    measured run, kill + resume) share one broadcast copy, while a corpus
+    REGENERATED at the same path is re-read instead of silently serving
+    stale pages, and a new ``ray.init`` never gets a ref owned by a
+    shut-down session."""
     import glob
     import os
+
+    import pyarrow.parquet as pq
+
+    from spider_ray.stages.broadcast import session_key
 
     root = os.path.abspath(corpus_path)
     paths = (
@@ -345,7 +307,7 @@ def load_corpus_ref(corpus_path: str):
         else [root]
     )
     src_mtime = max((os.path.getmtime(p) for p in paths), default=0)
-    key = (root, tuple(paths), src_mtime)
+    key = (session_key(), root, tuple(paths), src_mtime)
     if key in _REF_CACHE:
         return _REF_CACHE[key]
     _REF_CACHE.clear()  # one corpus per session is the common case — don't

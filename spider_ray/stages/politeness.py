@@ -58,9 +58,9 @@ def politeness_split(
     overrides = host_budgets or {}
     max_budget = max([budget or 0, *overrides.values()])
 
-    from spider_ray.blockutil import default_join_partitions
+    from spider_ray.blockutil import default_shuffle_partitions
 
-    num_shards = default_join_partitions()
+    num_shards = default_shuffle_partitions()
 
     def partial_topb(batch: pd.DataFrame) -> pd.DataFrame:
         d = batch[["host", "rank"]]

@@ -3,18 +3,20 @@
 Replaces the reference's in-run cache — a plain Python ``set`` in a decorator
 closure with check-then-add claim semantics (use_cache.py:14,22-24). At the
 10^10-URL design point one set per process cannot work, so the seen state is
-K hash-partitioned shards held in Ray actors: shard ``i`` owns every URL with
-``crc32(url) % K == i``; the frontier-refill stage routes each candidate URL
-to exactly one shard, so membership checks never race across shards.
+K hash-partitioned shards held in Ray actors: shard ``i`` owns every URL
+whose 64-bit routing hash is ``i`` mod K (``shard_ids_batch``); every caller
+routes each URL to exactly one shard, so membership checks never race
+across shards.
 
-Claim semantics and retry-safety: candidates are globally deduplicated per
-round BEFORE the seen check (SURVEY.md §7 hard-part 1), so within one round a
-given URL reaches its shard exactly once — except when Ray retries a failed
-``map_batches`` task. ``check_and_add`` is therefore idempotent per round:
-URLs claimed during the current round answer "new" again on a repeat call,
-so a retried task reproduces its original output instead of dropping URLs.
+Claim protocol: parse tasks ``offer`` each round's candidates with their
+claim keys, and after the round's last offer the driver ``harvest``s every
+shard. The shard keeps the minimum key per unseen url and claims the
+winners at harvest. Both steps are idempotent under Ray task retry: a
+re-offered (url, key) pair cannot change a minimum, and a repeated harvest
+of a round returns the same claims. Seeds and resume replays use
+``bulk_add``, which only adds.
 
-Two seen-set implementations behind one interface:
+Two seen-set implementations behind one interface (``SEEN_MODES``):
 
 - ``ExactSeen`` — a Python set; exact semantics, used at test scale and the
   default (a 256-node cluster with 64 shards × tens of GiB of heap holds
@@ -22,24 +24,22 @@ Two seen-set implementations behind one interface:
 - ``BloomSeen`` — a classic bloom filter over a numpy bitset (double hashing
   via blake2b, no false negatives). A false positive drops a never-seen URL
   (~p probability, sized by ``bloom_bits``/``n_hashes``) — the standard
-  crawl-frontier trade (PAPERS.md bloom/cuckoo entries); not used where
+  crawl-frontier trade (PAPERS.md bloom entries); not used where
   oracle-exact output is asserted.
-- ``CuckooSeen`` — a cuckoo filter (16-bit fingerprints, 4-slot buckets,
-  partial-key cuckoo hashing): same one-sided error as bloom but with true
-  DELETION support and exactly two bucket probes per lookup; kicked-out
-  inserts overflow into an exact set so false negatives never occur.
 
-Checkpointing: ``dump()``/``restore()`` round-trip the full shard state
-(including the per-round claim set) so a killed run resumes with the exact
-same URL-seen contract (SURVEY.md §7 hard-part 3).
+Checkpointing: the shards themselves are never snapshotted. Every claimed
+url sits in some round's checkpointed frontier, so resume rebuilds the
+seen state by replaying those files through ``bulk_add``
+(``pipelines/crawl.py:_restore``; SURVEY.md §7 hard-part 3).
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
+
+SEEN_MODES = ("exact", "bloom")
 
 
 def _route_hash_batch(urls) -> np.ndarray:
@@ -47,7 +47,7 @@ def _route_hash_batch(urls) -> np.ndarray:
     ``pd.util.hash_array``, fixed default key — deterministic across
     processes and runs, no ``PYTHONHASHSEED`` dependence). Replaces the
     per-url ``zlib.crc32`` python loop that every routing site paid
-    (seen-filter, offer fan-out, seed claim, resume replay). The only
+    (offer fan-out, seed claim, resume replay). The only
     invariant required: identical values in every process of a run —
     guarded by the ``route_sentinel`` handshake below, mirroring
     fetch.py's ``_SENTINEL_URL`` pattern."""
@@ -59,11 +59,12 @@ def _route_hash_batch(urls) -> np.ndarray:
 
 # pd.util.hash_array is a pandas implementation detail, not a stable
 # contract. A driver/worker pandas skew on a real cluster would route the
-# same url to DIFFERENT shards from different processes — a url claimed in
-# shard A by a parse task would be re-admitted through shard B by the seen
-# filter (silent duplicate crawl). The driver computes the sentinel's hash
-# once and ships it inside every routing closure; each worker process
-# re-derives it on first use and fails loudly on mismatch.
+# same url to DIFFERENT shards from different processes — a url the driver
+# claimed in shard A (a seed, a resume replay) would be offered to shard B
+# by a parse task and claimed again (silent duplicate crawl). The driver
+# computes the sentinel's hash once and ships it inside every routing
+# closure; each worker process re-derives it on first use and fails loudly
+# on mismatch.
 _ROUTE_SENTINEL_URL = "spider-ray-route-sentinel-v1"
 _checked_route_sentinels: set[int] = set()
 
@@ -134,12 +135,6 @@ class ExactSeen:
 
         return sys.getsizeof(self._set) + sum(sys.getsizeof(u) for u in self._set)
 
-    def dump_payload(self) -> bytes:
-        return pickle.dumps(sorted(self._set), protocol=pickle.HIGHEST_PROTOCOL)
-
-    def restore_payload(self, payload: bytes) -> None:
-        self._set = set(pickle.loads(payload))
-
 
 class BloomSeen:
     mode = "bloom"
@@ -182,141 +177,6 @@ class BloomSeen:
     def state_bytes(self) -> int:
         return int(self._arr.nbytes)
 
-    def dump_payload(self) -> bytes:
-        return pickle.dumps(
-            (self.bits, self.n_hashes, self._n, self._arr.tobytes()),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
-    def restore_payload(self, payload: bytes) -> None:
-        self.bits, self.n_hashes, self._n, raw = pickle.loads(payload)
-        self._arr = np.frombuffer(raw, dtype=np.uint64).copy()
-
-
-class CuckooSeen:
-    """Cuckoo filter (Fan et al. 2014): partial-key cuckoo hashing of
-    16-bit fingerprints into 4-slot buckets, two candidate buckets per key
-    (``alt = h ^ (mix(fp) & mask)`` — involutive, so either bucket derives
-    the other). vs Bloom: supports DELETION and keeps lookups at exactly
-    two bucket probes; same one-sided error (a false positive drops a
-    never-seen URL, p ≈ 2·slots/2¹⁶ per probe at high load — bounded and
-    documented, the standard crawl-frontier trade). Inserts that exhaust
-    ``max_kicks`` evictions land in a small exact overflow set, so there
-    are NO false negatives ever."""
-
-    mode = "cuckoo"
-    _SLOTS = 4
-
-    def __init__(self, n_buckets: int = 1 << 16, max_kicks: int = 500) -> None:
-        assert n_buckets & (n_buckets - 1) == 0, "n_buckets must be a power of 2"
-        self.n_buckets = n_buckets
-        self.max_kicks = max_kicks
-        self._t = np.zeros((n_buckets, self._SLOTS), dtype=np.uint16)
-        self._n = 0
-        self._overflow: set[str] = set()
-        self._rng = np.random.RandomState(1234)  # eviction slot choice —
-        # seeded so dump/restore + replay stays deterministic
-
-    def _fp_h(self, url: str) -> tuple[int, int]:
-        import hashlib
-
-        d = hashlib.blake2b(url.encode("utf-8"), digest_size=8).digest()
-        fp = (int.from_bytes(d[:2], "little") % 65535) + 1  # never 0 (empty)
-        h1 = int.from_bytes(d[2:6], "little") & (self.n_buckets - 1)
-        return fp, h1
-
-    def _alt(self, h: int, fp: int) -> int:
-        return (h ^ (fp * 0x5BD1E995)) & (self.n_buckets - 1)
-
-    def __contains__(self, url: str) -> bool:
-        fp, h1 = self._fp_h(url)
-        if fp in self._t[h1] or fp in self._t[self._alt(h1, fp)]:
-            return True
-        return url in self._overflow
-
-    def add(self, url: str) -> None:
-        # NO presence check before insert: duplicate fingerprints are stored
-        # up to bucket capacity — the standard cuckoo-filter deletion rule.
-        # Dedup-on-insert would back two distinct urls sharing (fp, bucket)
-        # with ONE table entry, so discard() of one would turn the other
-        # into a false negative, breaking the documented guarantee.
-        fp, h1 = self._fp_h(url)
-        h2 = self._alt(h1, fp)
-        for h in (h1, h2):
-            empty = np.flatnonzero(self._t[h] == 0)
-            if empty.size:
-                self._t[h][empty[0]] = fp
-                self._n += 1
-                return
-        # both buckets full: evict (kick) until a slot frees up. Snapshot
-        # first — a failed kick chain leaves a DISPLACED fingerprint in
-        # hand that belongs to some other key; rolling back is what keeps
-        # the no-false-negatives guarantee.
-        backup = self._t.copy()
-        h, cur = h1, fp
-        for _ in range(self.max_kicks):
-            s = int(self._rng.randint(self._SLOTS))
-            cur, self._t[h][s] = int(self._t[h][s]), cur
-            h = self._alt(h, cur)
-            empty = np.flatnonzero(self._t[h] == 0)
-            if empty.size:
-                self._t[h][empty[0]] = cur
-                self._n += 1
-                return
-        # table effectively full — roll back and keep the url exactly
-        self._t = backup
-        self._overflow.add(url)
-        self._n += 1
-
-    def discard(self, url: str) -> bool:
-        """Cuckoo's distinguishing op vs Bloom: true deletion."""
-        if url in self._overflow:
-            self._overflow.discard(url)
-            self._n -= 1
-            return True
-        fp, h1 = self._fp_h(url)
-        for h in (h1, self._alt(h1, fp)):
-            idx = np.flatnonzero(self._t[h] == fp)
-            if idx.size:
-                self._t[h][idx[0]] = 0
-                self._n -= 1
-                return True
-        return False
-
-    def __len__(self) -> int:
-        return self._n
-
-    def state_bytes(self) -> int:
-        import sys
-
-        return int(self._t.nbytes) + sum(sys.getsizeof(u) for u in self._overflow)
-
-    def dump_payload(self) -> bytes:
-        return pickle.dumps(
-            (
-                self.n_buckets,
-                self.max_kicks,
-                self._n,
-                self._t.tobytes(),
-                sorted(self._overflow),
-                self._rng.get_state(),
-            ),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
-    def restore_payload(self, payload: bytes) -> None:
-        self.n_buckets, self.max_kicks, self._n, raw, ovf, rng_state = pickle.loads(
-            payload
-        )
-        self._t = (
-            np.frombuffer(raw, dtype=np.uint16)
-            .reshape(self.n_buckets, self._SLOTS)
-            .copy()
-        )
-        self._overflow = set(ovf)
-        self._rng = np.random.RandomState()
-        self._rng.set_state(rng_state)
-
 
 @dataclass(eq=False)
 class Claims:
@@ -355,10 +215,6 @@ class UrlSeenShard:
     def __init__(self, mode: str = "exact", bloom_bits: int = 1 << 24, n_hashes: int = 7):
         if mode == "exact":
             self._seen = ExactSeen()
-        elif mode == "cuckoo":
-            # bloom_bits doubles as the sizing knob: bits/64 → buckets
-            # (≈ bits/16 fingerprint slots)
-            self._seen = CuckooSeen(n_buckets=max(1 << 10, bloom_bits >> 6))
         elif mode == "bloom":
             self._seen = BloomSeen(bloom_bits, n_hashes)
         else:
@@ -366,36 +222,13 @@ class UrlSeenShard:
             # (bloom false positives) while the caller believes they ran
             # the exact-dedup contract — fail loudly instead
             raise ValueError(
-                f"unknown seen mode {mode!r} (expected exact | bloom | cuckoo)"
+                f"unknown seen mode {mode!r} (expected one of {SEEN_MODES})"
             )
         self._round = -1
-        self._claimed_this_round: set[str] = set()
         # offer/harvest state (dedup+claim fused on the shard)
         self._pending: dict[str, int] = {}
         self._harvest_round = -1
         self._harvest_result = None
-
-    def check_and_add(self, round_id: int, urls: list[str]) -> list[bool]:
-        """Claim each unseen URL; returns True where the URL is newly claimed.
-
-        Idempotent within ``round_id``: a URL already claimed during this
-        round answers True again (task-retry safety — see module docstring).
-        A new ``round_id`` resets the per-round claim set.
-        """
-        if round_id != self._round:
-            self._round = round_id
-            self._claimed_this_round = set()
-        out = []
-        for u in urls:
-            if u in self._claimed_this_round:
-                out.append(True)
-            elif u in self._seen:
-                out.append(False)
-            else:
-                self._seen.add(u)
-                self._claimed_this_round.add(u)
-                out.append(True)
-        return out
 
     def offer(self, round_id: int, urls: list[str], keys: list[int]) -> int:
         """Phase A of the fused dedup+claim: accumulate the per-url MIN
@@ -407,7 +240,6 @@ class UrlSeenShard:
         cannot change a min."""
         if round_id != self._round:
             self._round = round_id
-            self._claimed_this_round = set()
             self._pending = {}
         pend = self._pending
         seen = self._seen
@@ -431,7 +263,6 @@ class UrlSeenShard:
         keys = np.fromiter(self._pending.values(), dtype=np.int64, count=len(urls))
         for u in urls:
             self._seen.add(u)
-        self._claimed_this_round |= set(urls)
         self._pending = {}
         self._harvest_round = round_id
         self._harvest_result = Claims(urls, keys)
@@ -443,8 +274,8 @@ class UrlSeenShard:
         self.__init__(mode, bloom_bits)
 
     def bulk_add(self, urls: list[str]) -> int:
-        """Restore path: re-add previously claimed URLs without touching
-        per-round claim state (used when replaying checkpoint claim files)."""
+        """Add urls outside the offer/harvest protocol: the seed claim and
+        the resume replay of checkpointed frontiers. Idempotent."""
         for u in urls:
             if u not in self._seen:
                 self._seen.add(u)
@@ -473,41 +304,3 @@ class UrlSeenShard:
             "state_bytes": self._seen.state_bytes(),
             "rss_bytes": rss,
         }
-
-    def dump(self) -> dict:
-        """Round-BOUNDARY snapshot: the crawl only checkpoints between
-        rounds, after every offer of the round has been harvested. Un-
-        harvested offers cannot round-trip (they are neither claimed nor in
-        the frontier yet), so a mid-phase dump is a caller bug — refuse it
-        rather than silently drop the pending urls."""
-        if self._pending:
-            raise RuntimeError(
-                f"dump() with {len(self._pending)} un-harvested offers — "
-                "snapshot shards only at round boundaries (after harvest)"
-            )
-        return {
-            "mode": self._seen.mode,
-            "payload": self._seen.dump_payload(),
-            "n_items": len(self._seen),
-            "round": self._round,
-            "claimed": pickle.dumps(sorted(self._claimed_this_round)),
-        }
-
-    def restore(self, d: dict) -> None:
-        if d["mode"] == "exact":
-            self._seen = ExactSeen()
-        elif d["mode"] == "cuckoo":
-            self._seen = CuckooSeen()
-        elif d["mode"] == "bloom":
-            self._seen = BloomSeen()
-        else:
-            raise ValueError(f"unknown seen mode in snapshot: {d['mode']!r}")
-        self._seen.restore_payload(d["payload"])
-        self._round = d["round"]
-        self._claimed_this_round = set(pickle.loads(d["claimed"]))
-        # drop any live offer-phase state from the pre-restore timeline —
-        # a stale pending dict or cached harvest would otherwise leak into
-        # the restored timeline's next harvest
-        self._pending = {}
-        self._harvest_round = -1
-        self._harvest_result = None

@@ -64,8 +64,7 @@ def test_sink_registry_roundtrip_and_fallback(tmp_path):
     assert type(get_sink("not-a-sink")).__name__ == type(get_sink(None)).__name__
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_no_cache_mode_matches_oracle(tmp_path):
+def _no_cache_crawl_matches_oracle(tmp_path, robots=None, **kw) -> pd.DataFrame:
     from spider_ray.corpus import build_pages_table, corpus_as_dict, write_corpus
     from spider_ray.oracle import crawl_oracle
     from spider_ray.pipelines.crawl import crawl, read_store
@@ -73,8 +72,11 @@ def test_no_cache_mode_matches_oracle(tmp_path):
     corpus = write_corpus(str(tmp_path / "c"), n_pages=60, n_hosts=4)
     cd = corpus_as_dict(build_pages_table(n_pages=60, n_hosts=4))
     seeds = ["https://h0.example/p0"]
-    res = crawl(corpus, seeds, str(tmp_path / "o"), max_depth=2, use_cache=False)
-    oracle = crawl_oracle(cd, seeds, max_depth=2, use_cache=False)
+    res = crawl(
+        corpus, seeds, str(tmp_path / "o"), max_depth=2, use_cache=False,
+        robots=robots, **kw,
+    )
+    oracle = crawl_oracle(cd, seeds, max_depth=2, use_cache=False, robots=robots)
     store = read_store(str(tmp_path / "o"), canonical_order=True).to_pandas()
     # every occurrence fetched: multiset of (url, depth, rank) matches
     assert [(r.url, r.depth, r.discovery_rank) for r in store.itertuples()] == [
@@ -82,8 +84,28 @@ def test_no_cache_mode_matches_oracle(tmp_path):
         for s in sorted(oracle.store, key=lambda s: (s.depth, s.discovery_rank))
     ]
     assert res.total_calls == oracle.total_calls
+    return store
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_no_cache_mode_matches_oracle(tmp_path):
+    store = _no_cache_crawl_matches_oracle(tmp_path)
     # duplicates really happen without the cache
     assert store["url"].duplicated().any()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_no_cache_distributed_refill_matches_oracle(tmp_path):
+    # every round with candidates takes the distributed sort+rank refill
+    store = _no_cache_crawl_matches_oracle(tmp_path, small_round_rows=0)
+    assert store["url"].duplicated().any()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_no_cache_robots_gate_matches_oracle(tmp_path):
+    robots = {"h1.example": [""], "h2.example": ["/p1"]}
+    store = _no_cache_crawl_matches_oracle(tmp_path, robots=robots)
+    assert not store["url"].str.startswith("https://h1.example").any()
 
 
 def test_mongo_sink_is_registered_stub():

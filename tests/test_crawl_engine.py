@@ -119,34 +119,6 @@ def test_engine_invariant_to_batch_size(corpus_dir, corpus_dict, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_engine_groupby_dedup_mode(corpus_dir, corpus_dict, tmp_path):
-    # the groupby dedup path must produce identical claims to the fused
-    # actor offer/harvest path (both == oracle)
-    res, store = _run_engine(corpus_dir, tmp_path, max_depth=2, dedup_mode="groupby")
-    oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=2)
-    _assert_matches_oracle(res, store, oracle)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_engine_join_fetch_mode(corpus_dir, corpus_dict, tmp_path):
-    res, store = _run_engine(
-        corpus_dir, tmp_path, max_depth=1, fetch_mode="join", join_partitions=3
-    )
-    oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=1)
-    _assert_matches_oracle(res, store, oracle)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_engine_actor_pool_fetch_mode(corpus_dir, corpus_dict, tmp_path):
-    res, store = _run_engine(
-        corpus_dir, tmp_path, max_depth=1, fetch_mode="indexed_actors",
-        fetch_concurrency=2,
-    )
-    oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=1)
-    _assert_matches_oracle(res, store, oracle)
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_finalize_store_dedups_duplicate_parts(corpus_dir, tmp_path):
     # simulate a task-retry duplicated part file, then run the exactness net
     import glob
@@ -352,14 +324,58 @@ def test_bloom_mode_no_false_negatives(corpus_dir, corpus_dict, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_cuckoo_mode_matches_oracle(corpus_dir, corpus_dict, tmp_path):
-    # cuckoo filter sized generously (2^20 bits → 2^14 buckets ≈ 65k slots
-    # for ~150 urls) → FP probability ~1e-4/url → identical to exact here
-    res, store = _run_engine(
-        corpus_dir, tmp_path, max_depth=2, seen_mode="cuckoo", bloom_bits=1 << 20
+def test_unknown_modes_rejected_before_shards_are_taken(corpus_dir, tmp_path):
+    from spider_ray.pipelines import crawl as crawl_mod
+
+    crawl_mod.crawl(corpus_dir, SEEDS, str(tmp_path / "warm"), max_depth=0)
+    pooled = _pooled_shards()
+    for bad in (
+        {"fetch_mode": "join"},
+        {"fetch_mode": "indexed_actors"},
+        {"fetch_mode": "partioned"},
+        {"seen_mode": "cuckoo"},
+    ):
+        out = tmp_path / "bad"
+        with pytest.raises(ValueError, match="unknown"):
+            crawl_mod.crawl(corpus_dir, SEEDS, str(out), **bad)
+        assert not out.exists(), bad
+        assert _pooled_shards() == pooled, bad
+
+
+def test_crawls_of_one_corpus_across_ray_restarts(corpus_dir, corpus_dict, tmp_path):
+    """The corpus broadcast is memoized per Ray session: after a
+    ``ray.shutdown()`` and a new ``ray.init()`` in the same process, a crawl
+    of the same corpus path must not reuse the dead session's ObjectRef.
+    Runs in a subprocess so the test session's Ray stays untouched."""
+    import glob
+    import os
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outs = [str(tmp_path / f"o{i}") for i in range(2)]
+    code = (
+        "import ray\n"
+        "from spider_ray.pipelines.crawl import crawl\n"
+        f"for out in {outs!r}:\n"
+        "    ray.init(address='local', num_cpus=2, include_dashboard=False,\n"
+        "             logging_level='ERROR')\n"
+        f"    crawl({corpus_dir!r}, {SEEDS!r}, out, max_depth=2, seen_shards=2)\n"
+        "    ray.shutdown()\n"
     )
+    subprocess.run([sys.executable, "-c", code], cwd=root, check=True, timeout=600)
     oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=2)
-    _assert_matches_oracle(res, store, oracle)
+    want = sorted(
+        ((r.url, r.depth, r.discovery_rank) for r in oracle.store),
+        key=lambda t: (t[1], t[2]),
+    )
+    for out in outs:
+        files = glob.glob(f"{out}/store/r*/*.parquet")
+        df = pd.concat([pq.read_table(f).to_pandas() for f in files])
+        df = df.sort_values(["depth", "discovery_rank"])
+        assert list(zip(df["url"], df["depth"], df["discovery_rank"])) == want
 
 
 def test_corpus_index_all_miss_batch():

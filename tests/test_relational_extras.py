@@ -1361,3 +1361,22 @@ def test_invindex_pruned_lookup(tmp_path):
         assert probed < all_paths
         beta_only = invindex_lookup(idx, ["alpha"], n_buckets=8).to_pandas()
         assert "beta" not in set(beta_only["token"])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_length_queries_on_empty_documents(tmp_path):
+    """sf0.001's documents filtered to zero rows: both length queries give
+    an empty answer with its columns instead of a KeyError (Ray's zero-row
+    ``to_pandas`` drops the columns of the histogram they collect)."""
+    from spider_ray.pipelines.relational import (
+        doc_length_ranks,
+        length_quantiles_by_source,
+    )
+
+    docs = pq.read_table(f"{SF001}/documents.parquet")
+    empty = docs.filter(pa.compute.less(docs["n_chars"], 0))
+    pq.write_table(empty, str(tmp_path / "documents.parquet"))
+    ranks = doc_length_ranks(str(tmp_path))
+    assert ranks.count() == 0
+    quant = length_quantiles_by_source(str(tmp_path))
+    assert quant.num_rows == 0 and quant.column_names == ["source", "p50", "p90"]

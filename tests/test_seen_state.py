@@ -45,16 +45,6 @@ def test_route_sentinel_skew_fails_loudly():
         shard_ids_batch(["https://a.example/"], 4, sentinel=ok ^ 0x1)
 
 
-def test_exact_seen_roundtrip():
-    s = ExactSeen()
-    s.add("a")
-    s.add("b")
-    d = s.dump_payload()
-    s2 = ExactSeen()
-    s2.restore_payload(d)
-    assert "a" in s2 and "b" in s2 and "c" not in s2 and len(s2) == 2
-
-
 def test_bloom_no_false_negatives_and_fp_bound():
     b = BloomSeen(bits=1 << 16, n_hashes=7)
     urls = [f"https://h{i}.example/p{i}" for i in range(1000)]
@@ -67,119 +57,25 @@ def test_bloom_no_false_negatives_and_fp_bound():
     assert fp / len(probes) < 0.01
 
 
-def test_bloom_roundtrip():
-    b = BloomSeen(bits=1 << 12, n_hashes=5)
-    b.add("u1")
-    d = b.dump_payload()
-    b2 = BloomSeen()
-    b2.restore_payload(d)
-    assert "u1" in b2 and "u2" not in b2
-
-
 def test_shard_claim_idempotent_within_round():
     sh = UrlSeenShard(mode="exact")
-    assert sh.check_and_add(1, ["a", "b"]) == [True, True]
-    # retry of the same round's batch → same answer (task-retry safety)
-    assert sh.check_and_add(1, ["a", "b"]) == [True, True]
-    # next round: now seen
-    assert sh.check_and_add(2, ["a", "c"]) == [False, True]
+    sh.offer(1, ["a", "b"], [4, 2])
+    # a retried parse task re-offers its batch: the claims do not change
+    sh.offer(1, ["a", "b"], [4, 2])
+    got = sh.harvest(1)
+    assert got.urls == ["a", "b"] and got.keys.tolist() == [4, 2]
+    # next round: a is seen, c is new
+    sh.offer(2, ["a", "c"], [1, 1])
+    assert sh.harvest(2).urls == ["c"]
     assert sh.n_items() == 3
-
-
-def test_shard_dump_restore():
-    sh = UrlSeenShard(mode="exact")
-    sh.check_and_add(1, ["a", "b"])
-    d = sh.dump()
-    sh2 = UrlSeenShard(mode="exact")
-    sh2.restore(d)
-    assert sh2.check_and_add(1, ["a"]) == [True]  # same round → idempotent claim
-    assert sh2.check_and_add(2, ["b"]) == [False]
-    assert sh2.n_items() == 2
 
 
 def test_shard_bulk_add():
     sh = UrlSeenShard(mode="exact")
     sh.bulk_add(["a", "b"])
-    assert sh.check_and_add(5, ["a", "c"]) == [False, True]
-
-
-def test_cuckoo_no_false_negatives_membership_and_deletion():
-    from spider_ray.state.seen import CuckooSeen
-
-    c = CuckooSeen(n_buckets=1 << 12)
-    urls = [f"https://h{i}.example/p{i}" for i in range(2000)]
-    for u in urls:
-        c.add(u)
-    assert all(u in c for u in urls)  # no false negatives, ever
-    probes = [f"https://x{i}.example/q{i}" for i in range(2000)]
-    fp = sum(1 for p in probes if p in c)
-    # 16-bit fingerprints, 2 buckets × 4 slots probed → fp ≈ 8/65535 ≈ 1e-4
-    assert fp / len(probes) < 0.01
-    # deletion — the op Bloom cannot do
-    victim = urls[37]
-    assert c.discard(victim) is True
-    assert c.discard("https://never.example/x") is False
-    assert all(u in c for u in urls if u != victim)
-
-
-def test_cuckoo_overflow_keeps_exactness():
-    from spider_ray.state.seen import CuckooSeen
-
-    # tiny table forced into eviction-overflow territory
-    c = CuckooSeen(n_buckets=1 << 4, max_kicks=8)
-    urls = [f"https://h{i}.example/p{i}" for i in range(500)]
-    for u in urls:
-        c.add(u)
-    assert all(u in c for u in urls)  # overflow set catches kicked inserts
-
-
-def test_cuckoo_roundtrip():
-    from spider_ray.state.seen import CuckooSeen
-
-    c = CuckooSeen(n_buckets=1 << 10)
-    for i in range(50):
-        c.add(f"u{i}")
-    d = c.dump_payload()
-    c2 = CuckooSeen()
-    c2.restore_payload(d)
-    assert all(f"u{i}" in c2 for i in range(50))
-    assert "u999" not in c2
-
-
-def test_shard_cuckoo_mode():
-    sh = UrlSeenShard(mode="cuckoo", bloom_bits=1 << 22)
-    assert sh.check_and_add(1, ["a", "b"]) == [True, True]
-    assert sh.check_and_add(2, ["a", "c"]) == [False, True]
-    d = sh.dump()
-    sh2 = UrlSeenShard(mode="cuckoo")
-    sh2.restore(d)
-    assert sh2.check_and_add(3, ["a", "d"]) == [False, True]
-
-
-def test_cuckoo_shared_fingerprint_discard_no_false_negative():
-    # two DISTINCT urls sharing (fp, bucket) must be backed by TWO table
-    # entries, so deleting one never turns the other into a false negative
-    from spider_ray.state.seen import CuckooSeen
-
-    c = CuckooSeen(n_buckets=1 << 6)  # small bucket space → collisions fast
-    first_by_key: dict = {}
-    pair = None
-    i = 0
-    while pair is None:
-        u = f"https://col{i}.example/x"
-        key = c._fp_h(u)
-        if key in first_by_key:
-            pair = (first_by_key[key], u)
-        else:
-            first_by_key[key] = u
-        i += 1
-    a, b = pair
-    c.add(a)
-    c.add(b)
-    assert len(c) == 2  # __len__ counts insertions (= items here)
-    assert c.discard(a) is True
-    assert b in c  # the twin survives — duplicate fingerprints are stored
-    assert len(c) == 1
+    assert sh.bulk_add(["a"]) == 2  # idempotent: a replayed url adds nothing
+    sh.offer(5, ["a", "c"], [1, 2])
+    assert sh.harvest(5).urls == ["c"]
 
 
 def test_unknown_seen_mode_raises():
@@ -187,26 +83,8 @@ def test_unknown_seen_mode_raises():
 
     with pytest.raises(ValueError):
         UrlSeenShard(mode="Exact")  # typo'd mode must not silently go bloom
-
-
-def test_dump_refuses_unharvested_offers_and_restore_clears_offer_state():
-    from spider_ray.state.seen import UrlSeenShard
-
-    s = UrlSeenShard(mode="exact")
-    s.offer(1, ["https://a/1"], [5])
-    with pytest.raises(RuntimeError):
-        s.dump()  # mid-phase snapshot would drop the pending offer
-    s.harvest(1)
-    snap = s.dump()
-
-    # a shard with live offers + cached harvest restoring an older snapshot
-    t = UrlSeenShard(mode="exact")
-    t.offer(1, ["https://a/1"], [5])
-    t.harvest(1)
-    t.offer(2, ["https://b/2"], [9])
-    t.restore(snap)
-    out = t.harvest(2)  # post-restore timeline: nothing offered in round 2
-    assert out.num_rows == 0
+    with pytest.raises(ValueError):
+        UrlSeenShard(mode="cuckoo")  # not a seen mode (exact, bloom only)
 
 
 def test_harvest_returns_plain_claims_and_repeats_per_round():
@@ -234,7 +112,7 @@ def test_shard_methods_never_import_pyarrow():
         "import sys\n"
         "from spider_ray.state.seen import UrlSeenShard\n"
         "s = UrlSeenShard()\n"
-        "s.check_and_add(0, ['https://a/0'])\n"
+        "s.bulk_add(['https://a/0'])\n"
         "s.offer(1, ['https://a/1'], [1])\n"
         "s.harvest(1)\n"
         "s.reset('bloom', 1 << 12)\n"
@@ -245,7 +123,7 @@ def test_shard_methods_never_import_pyarrow():
 
 def test_reset_clears_state_and_switches_mode():
     s = UrlSeenShard(mode="exact")
-    s.check_and_add(0, ["https://a/1"])
+    s.bulk_add(["https://a/1"])
     s.offer(1, ["https://a/2"], [4])
     s.harvest(1)
     s.reset("bloom", 1 << 12)
