@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
+from ray.data.block import BlockAccessor
 
 
 def strip_schema_metadata(ds: Dataset) -> Dataset:
@@ -44,18 +47,28 @@ def drop_empty_blocks(ds: Dataset, empty_schema: pa.Schema | None = None) -> Dat
     ``map_batches`` skips empty blocks entirely, so they cannot be
     normalized by a downstream transform — dropping the blocks is the only
     reliable fix."""
-    mds = ds.materialize()
-    refs = []
-    for bundle in mds.iter_internal_ref_bundles():
-        for ref, meta in zip(bundle.block_refs, bundle.metadata):
-            if meta.num_rows:
-                refs.append(ref)
+    mds, refs, _, _ = _live_blocks(ds)
     if not refs:
         if empty_schema is None:
             base = getattr(mds.schema(), "base_schema", None)
             empty_schema = base if isinstance(base, pa.Schema) else pa.schema([])
         return ray.data.from_arrow(empty_schema.empty_table())
     return ray.data.from_arrow_refs(refs)
+
+
+def _live_blocks(ds: Dataset):
+    """Materialize ``ds``; return it with its non-empty block refs, their
+    row total and their byte total, read from block METADATA (no block
+    reaches the driver)."""
+    mds = ds.materialize()
+    refs, total, nbytes = [], 0, 0
+    for bundle in mds.iter_internal_ref_bundles():
+        for ref, meta in zip(bundle.block_refs, bundle.metadata):
+            if meta.num_rows:
+                refs.append(ref)
+                total += meta.num_rows
+                nbytes += meta.size_bytes or 0
+    return mds, refs, total, nbytes
 
 
 def unique_pairs(lo, hi):
@@ -106,13 +119,7 @@ def final_merge(
     single task. Empty blocks (schema-less, from sparse shards — see
     drop_empty_blocks) are dropped in the same pass. ``fn`` must be
     idempotent (dedup / local-top-k both are)."""
-    mds = ds.materialize()
-    refs, total = [], 0
-    for bundle in mds.iter_internal_ref_bundles():
-        for ref, meta in zip(bundle.block_refs, bundle.metadata):
-            if meta.num_rows:
-                refs.append(ref)
-                total += meta.num_rows
+    _, refs, total, _ = _live_blocks(ds)
     if not refs:
         # Return the empty table DIRECTLY — Ray Data prunes an empty
         # dataset's block through any downstream op (repartition /
@@ -174,6 +181,159 @@ def default_shuffle_partitions(floor: int = 4, cap: int = 256) -> int:
     return max(floor, min(cap, int(ray.cluster_resources().get("CPU", 4))))
 
 
+# shard_exchange runs one task at or below this many input rows, and about
+# one shard per this many rows above it (capped at one per CPU). With 4 Ray
+# CPUs on a one-core host, a sessionize-style lexsort + reduceat kernel ran
+# fastest as one task up to ~1.25M rows, and two shards first beat one task
+# between 1.5M and 1.75M (figures in CHANGES.md); on a host with a core per
+# CPU the shards run in parallel and the crossover would be lower
+_ROWS_PER_SHARD = 1_500_000
+# ... and one shard per this many input bytes (block metadata), whichever
+# gives more shards: a few wide rows (minhash sketches, embedding vectors)
+# must not reach one task whole. The value is the size the pipelines refuse
+# to broadcast to every worker (ann.embedding_near_dup_lsh's
+# verify_broadcast_limit), so a payload too big to broadcast is also split
+_BYTES_PER_SHARD = 128 << 20
+
+
+def _key_hash(t: pa.Table, key: str | list[str]) -> np.ndarray:
+    """uint64 hash of ``key``: one column, or several XOR-combined with the
+    i-th column's hash rotated by i bits (so equal values in two key
+    columns do not cancel to 0). Integer columns hash as int64 with nulls
+    as 0, so one key value lands in one shard whatever the width or null
+    count of the block it came from."""
+    h = np.zeros(t.num_rows, dtype=np.uint64)
+    for i, k in enumerate([key] if isinstance(key, str) else key):
+        col = t.column(k)
+        if pa.types.is_integer(col.type):
+            col = pc.fill_null(col.cast(pa.int64(), safe=False), 0)
+        hk = pd.util.hash_array(col.to_numpy())
+        if i:
+            hk = (hk << np.uint64(i)) | (hk >> np.uint64(64 - i))
+        h ^= hk
+    return h
+
+
+def _exchange(base: Dataset, rows: int, nbytes: int, key, fn, batch_format: str) -> Dataset:
+    """Run ``fn`` over ``base`` (``rows`` > 0 non-empty rows, ``nbytes``
+    bytes) with every ``key`` group inside one call: one task when the input
+    is small, else a sort exchange on a hashed int shard column."""
+    n = min(
+        default_shuffle_partitions(),
+        max(-(-rows // _ROWS_PER_SHARD), -(-nbytes // _BYTES_PER_SHARD)),
+    )
+    if n <= 1:
+        return base.repartition(1).map_batches(
+            fn, batch_format=batch_format, batch_size=None
+        )
+
+    def add_shard(t: pa.Table) -> pa.Table:
+        s = (_key_hash(t, key) % np.uint64(n)).astype(np.int64)
+        # pandas-made blocks carry a b'pandas' metadata blob that makes
+        # every sort-exchange concat fail to hash the schema
+        return t.replace_schema_metadata(None).append_column("_s", pa.array(s))
+
+    def per_shard(g):
+        if isinstance(g, pd.DataFrame):
+            return fn(g.drop(columns=["_s"]))
+        return fn(g.drop_columns(["_s"]))
+
+    return (
+        base.map_batches(add_shard, batch_format="pyarrow")
+        .groupby("_s", num_partitions=n)
+        .map_groups(per_shard, batch_format=batch_format)
+    )
+
+
+def shard_exchange(ds: Dataset, key: str | list[str], fn, out_schema: pa.Schema) -> Dataset:
+    """The engine's one hash-partitioned exchange: ``fn`` runs over pandas
+    frames that each hold whole ``key`` groups (all rows of one key value
+    land in one call), so ``fn`` must be correct on any union of key groups.
+
+    The shape follows the input's row and byte totals, read from block
+    metadata after one materialize (empty blocks are dropped, as in
+    ``final_merge``): up to ``_ROWS_PER_SHARD`` rows and ``_BYTES_PER_SHARD``
+    bytes, ``fn`` runs once over everything in a single task — no sort
+    exchange, whose fixed per-task cost dominates small inputs. Above
+    either, the rows are tagged with ``hash(key) % n`` and exchanged by a
+    task-based ``groupby(...).map_groups`` with ``n = min(cpus,
+    max(ceil(rows / _ROWS_PER_SHARD), ceil(bytes / _BYTES_PER_SHARD)))``
+    partitions, so one shard's slice fits a worker heap — sorting an
+    n-valued int column is the cheap kind of sort shuffle (a
+    ``repartition(keys=...)`` needs the HASH_SHUFFLE strategy, measured 12×
+    slower here, and ``Dataset.join`` spawns an actor fleet per call).
+    Zero rows give ``out_schema``'s empty table without calling ``fn``."""
+    _, refs, rows, nbytes = _live_blocks(ds)
+    if not rows:
+        return ray.data.from_arrow(out_schema.empty_table())
+    return _exchange(ray.data.from_arrow_refs(refs), rows, nbytes, key, fn, "pandas")
+
+
+@ray.remote
+def _arrow_schema(block) -> pa.Schema:
+    return BlockAccessor.for_block(block).to_arrow().schema
+
+
+def shard_join(
+    left: Dataset, right: Dataset, key: str | list[str], fn, out_schema: pa.Schema
+) -> Dataset:
+    """``shard_exchange`` over two inputs: ``fn(left_rows, right_rows)`` runs
+    with every ``key`` group of BOTH sides inside one call — the shape of
+    every broadcast-free semi, anti, outer and verify join here. Both sides
+    name the key the same; columns both sides carry must share a type.
+
+    The sides are unioned with a ``_t`` side tag, each padded with nulls
+    for the other side's columns; ``fn`` gets each side back as a pandas
+    frame with exactly its own columns and types (an empty frame when a
+    shard holds no rows of that side)."""
+    sides = []
+    for d in (left, right):
+        mds, refs, rows, nbytes = _live_blocks(d)
+        schema = getattr(mds.schema(), "base_schema", None)
+        if not isinstance(schema, pa.Schema):
+            # pandas blocks, or no rows: read the Arrow schema off one block
+            # (an empty one when the side has no rows) in a small task
+            probe = refs or [r for b in mds.iter_internal_ref_bundles() for r in b.block_refs]
+            schema = ray.get(_arrow_schema.remote(probe[0])) if probe else pa.schema([])
+        sides.append((refs, rows, nbytes, schema))
+    rows = sides[0][1] + sides[1][1]
+    if not rows:
+        return ray.data.from_arrow(out_schema.empty_table())
+    names = list(dict.fromkeys(n for *_, s in sides for n in s.names))
+    fields = {f.name: f for *_, s in reversed(sides) for f in s}
+
+    def tagger(i: int, own: pa.Schema):
+        def tag(t: pa.Table) -> pa.Table:
+            cols = {c: t.column(c) for c in own.names}
+            for c in names:
+                if c not in cols:
+                    cols[c] = pa.nulls(t.num_rows, fields[c].type)
+            cols["_t"] = pa.array(np.full(t.num_rows, i, dtype=np.int8))
+            return pa.table([cols[c] for c in names + ["_t"]], names=names + ["_t"])
+
+        return tag
+
+    parts = [
+        ray.data.from_arrow_refs(refs).map_batches(tagger(i, s), batch_format="pyarrow")
+        for i, (refs, *_, s) in enumerate(sides)
+        if refs
+    ]
+    tagged = parts[0] if len(parts) == 1 else parts[0].union(parts[1])
+
+    def split(t: pa.Table):
+        # Arrow batches, not pandas: a null-padded int column would come back
+        # as float64, and each side is cut back to its own columns and types
+        side = t.column("_t").to_numpy()
+        return fn(
+            *(
+                t.filter(pa.array(side == i)).select(s.names).to_pandas()
+                for i, (*_, s) in enumerate(sides)
+            )
+        )
+
+    return _exchange(tagged, rows, sides[0][2] + sides[1][2], key, split, "pyarrow")
+
+
 def attach_payload(
     pairs: Dataset,
     payload: Dataset,
@@ -182,71 +342,50 @@ def attach_payload(
     payload_key: str,
     payload_col: str,
     out_col: str,
-    pair_cols: dict,
-    num_shards: int,
     dedup_on: list[str] | None = None,
 ) -> Dataset:
     """Broadcast-free inner equi-join of a binary payload column onto pair
-    rows, as ONE task-based sort shuffle — the replacement for
-    ``Dataset.join`` in the sketch-verify pipelines.
+    rows, as one ``shard_join`` — the replacement for ``Dataset.join`` in
+    the sketch-verify pipelines.
 
     Why not ``Dataset.join``: ray 2.49's join is a hash-shuffle operator that
     spawns ``num_partitions`` aggregator ACTORS per join per execution (three
     joins cost three fleet spawns — measured ~2-3 s each on this host even
     warm), and its schema broadcast makes empty input blocks a load-order
-    flake (see drop_empty_blocks), which forces an extra full
-    materialization per join input. This shape instead tags both sides,
-    unions them, groupbys on an int shard key (the cheap task-based sort
-    shuffle), and does a vectorized pandas merge per shard — no actors, no
-    materialization, flake-free. Measured 3× faster end-to-end on the
-    minhash pipeline at sf0.1.
+    flake (see drop_empty_blocks). The shard exchange needs neither: no
+    actors, a vectorized pandas merge per shard. Measured 3× faster
+    end-to-end on the minhash pipeline at sf0.1.
 
-    ``pairs`` rows keep every column in ``pair_cols`` (name → filler value
-    of the right dtype, used to pad the payload side so the union schemas
-    match) and gain ``out_col``. ``payload`` must be exactly
-    ``(payload_key: int64, payload_col: binary)`` with unique keys. Shard
-    sizes are ~N/num_shards on either side — size ``num_shards`` so one
-    shard's payload slice fits a worker heap. ``dedup_on``: drop duplicate
-    pair rows per shard BEFORE the merge — global dedup when ``pairs_key``
-    is in ``dedup_on`` (all copies of a pair hash to the same shard)."""
-    import numpy as np
-    import pandas as pd
+    ``pairs`` rows keep all their columns and gain ``out_col``. ``payload``
+    must be exactly ``(payload_key: int64, payload_col: binary)`` with unique
+    keys. ``dedup_on``: drop duplicate pair rows per shard BEFORE the merge —
+    global dedup when ``pairs_key`` is in ``dedup_on`` (all copies of a pair
+    hash to the same shard). The shard count follows the input's rows and
+    bytes together (see ``shard_exchange``), so a payload of wide values —
+    sketches, vectors — is spread over one shard per ``_BYTES_PER_SHARD``
+    rather than merged in one task."""
 
-    names = list(pair_cols)
+    def key_payload(t: pa.Table) -> pa.Table:
+        return pa.table({"_k": t.column(payload_key), out_col: t.column(payload_col)})
 
-    def tag_payload(b: pd.DataFrame) -> pd.DataFrame:
-        k = b[payload_key].to_numpy().astype(np.int64)
-        cols = {"_s": (pd.util.hash_array(k) % num_shards).astype(np.int64)}
-        cols["_t"] = np.zeros(len(k), dtype=np.int8)
-        for n in names:
-            cols[n] = pair_cols[n]
-        cols["_k"] = k
-        cols[out_col] = b[payload_col]
-        return pd.DataFrame(cols)
+    def key_pairs(t: pa.Table) -> pa.Table:
+        return t.append_column("_k", t.column(pairs_key))
 
-    def tag_pairs(b: pd.DataFrame) -> pd.DataFrame:
-        k = b[pairs_key].to_numpy().astype(np.int64)
-        cols = {"_s": (pd.util.hash_array(k) % num_shards).astype(np.int64)}
-        cols["_t"] = np.ones(len(k), dtype=np.int8)
-        for n in names:
-            cols[n] = b[n]
-        cols["_k"] = k
-        cols[out_col] = b"" if len(k) else np.array([], dtype=object)
-        return pd.DataFrame(cols)
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        is_pay = g["_t"].to_numpy() == 0
-        pay = g.loc[is_pay, ["_k", out_col]]
-        p = g.loc[~is_pay, names + ["_k"]]
+    def merge(pay: pd.DataFrame, p: pd.DataFrame) -> pd.DataFrame:
+        names = [c for c in p.columns if c != "_k"]
         if dedup_on:
             p = p.drop_duplicates(subset=dedup_on)
-        out = p.merge(pay, on="_k", how="inner")
-        return out[names + [out_col]]
+        return p.merge(pay, on="_k", how="inner")[names + [out_col]]
 
-    tagged = pairs.map_batches(tag_pairs, batch_format="pandas").union(
-        payload.map_batches(tag_payload, batch_format="pandas")
+    return shard_join(
+        payload.map_batches(key_payload, batch_format="pyarrow"),
+        pairs.map_batches(key_pairs, batch_format="pyarrow"),
+        "_k",
+        merge,
+        # zero rows in: a zero-column empty result, as every consumer
+        # (a verify map) prunes it to anyway
+        pa.schema([]),
     )
-    return tagged.groupby("_s").map_groups(merge, batch_format="pandas")
 
 
 # read_clean_parquet checks every file's footer schema up to this count,

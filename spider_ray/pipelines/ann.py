@@ -252,7 +252,6 @@ def embedding_near_dup_lsh(
     threshold_pct: int = 40,
     n_planes: int = 3,
     n_tables: int = 24,
-    num_partitions: int | None = None,
     verify_broadcast_limit: int = 128 << 20,
 ) -> Dataset:
     """Scale path for embedding-cosine near-dup: signed-random-projection
@@ -290,10 +289,13 @@ def embedding_near_dup_lsh(
     all-pairs answer), which is what makes the registry's exact-pairs SQL
     its driver oracle; the recall property is additionally pytest-gated
     against brute force in tests/test_dedup.py."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    from spider_ray.blockutil import (
+        attach_payload,
+        final_merge,
+        shard_exchange,
+        unique_pairs,
+    )
 
-    if num_partitions is None:
-        num_partitions = default_shuffle_partitions()
     thr = threshold_pct
     rng = np.random.RandomState(_PLANES_SEED + 1)
     dim = len(query_vector(sf_dir, 0))
@@ -348,20 +350,10 @@ def embedding_near_dup_lsh(
             out_t.append(np.full(len(ids), t, dtype=np.int64))
             out_b.append(_bucket_of(norm, pl[t]))
             out_id.append(ids)
-        tid = np.concatenate(out_t)
-        bkt = np.concatenate(out_b)
-        # shard = hash of the full (table_id, bucket) key: one LSH bucket
-        # lands wholly in one shard, shards are ~uniform across buckets
-        shard = (
-            np.uint64(0x9E3779B97F4A7C15)
-            * (bkt.astype(np.uint64) ^ (tid.astype(np.uint64) << np.uint64(17)))
-            >> np.uint64(40)
-        ) % np.uint64(num_partitions)
         return pa.table(
             {
-                "_shard": pa.array(shard.astype(np.int64)),
-                "table_id": pa.array(tid),
-                "bucket": pa.array(bkt),
+                "table_id": pa.array(np.concatenate(out_t)),
+                "bucket": pa.array(np.concatenate(out_b)),
                 "vec_id": pa.array(np.concatenate(out_id)),
             }
         )
@@ -369,13 +361,10 @@ def embedding_near_dup_lsh(
     # Candidate pairs WITHOUT Dataset.join (see dedup.minhash_lsh_pairs for
     # the rationale — join spawns an aggregator-actor fleet per execution
     # and its empty-block schema broadcast forces extra materializations):
-    # one task-based sort shuffle on the int shard key, then a vectorized
-    # per-SHARD pass — lexsort + bucket boundaries + triu expansion, one
-    # Python call per shard, never per bucket or per pair.
-    # batch_size=None: one batch per INPUT block — a fixed batch_size
-    # coalesces the read's split blocks into one batch, which collapses the
-    # downstream sort to a single reduce partition and serializes the
-    # per-shard pair expansion into one task (measured 6 s → 0.9 s here)
+    # one shard_exchange on (table_id, bucket) — one LSH bucket wholly in
+    # one call — then a vectorized per-SHARD pass — lexsort + bucket
+    # boundaries + triu expansion, one Python call per shard, never per
+    # bucket or per pair. batch_size=None: one bucket batch per INPUT block.
     buckets = ds.map_batches(to_buckets, batch_format="pandas", batch_size=None)
 
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -443,19 +432,16 @@ def embedding_near_dup_lsh(
         # guard — lexsort-unique fallback past 2^32. Cross-shard copies of a
         # pair are merged by the survivor-dedup merge (broadcast mode) or
         # the attach-A shard (attach mode).
-        from spider_ray.blockutil import unique_pairs
-
         av, bv = unique_pairs(np.minimum(a, bb), np.maximum(a, bb))
         return pd.DataFrame({"vec_a": av, "vec_b": bv})
 
-    pairs = buckets.groupby("_shard").map_groups(shard_pairs, batch_format="pandas")
+    pair_schema = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64())])
+    pairs = shard_exchange(buckets, ["table_id", "bucket"], shard_pairs, pair_schema)
 
     if vec_ref is not None:
         # pairs are already VERIFIED (inside shard_pairs, against the
         # broadcast matrix); the merge only dedups cross-shard copies of
         # each surviving pair — survivor rows are the final answer size.
-        from spider_ray.blockutil import final_merge, unique_pairs
-
         def dedup_merge(b: pd.DataFrame) -> pa.Table:
             # unique_pairs mirrors shard_pairs' id-width guard: without it,
             # a >2^32 vec_id surviving shard_pairs' own fallback would be
@@ -469,16 +455,10 @@ def embedding_near_dup_lsh(
         # answer (what the caller collects anyway). final_merge drops the
         # schema-less empty shard blocks and auto-inserts an intermediate
         # repartition(cpus) merge level above its partial-row threshold.
-        return final_merge(
-            pairs,
-            dedup_merge,
-            pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64())]),
-        )
+        return final_merge(pairs, dedup_merge, pair_schema)
 
-    # vector attach: each side's normalized vector crosses the shuffle once
+    # vector attach: each side's normalized vector crosses the exchange once
     # per unique candidate pair side — never ×n_tables per bucket row
-    from spider_ray.blockutil import attach_payload
-
     with_a = attach_payload(
         pairs,
         vecs,
@@ -486,8 +466,6 @@ def embedding_near_dup_lsh(
         payload_key="vec_id",
         payload_col="v",
         out_col="v_a",
-        pair_cols={"vec_a": np.int64(0), "vec_b": np.int64(0)},
-        num_shards=num_partitions,
         dedup_on=["vec_a", "vec_b"],
     )
     with_ab = attach_payload(
@@ -497,8 +475,6 @@ def embedding_near_dup_lsh(
         payload_key="vec_id",
         payload_col="v",
         out_col="v_b",
-        pair_cols={"vec_a": np.int64(0), "vec_b": np.int64(0), "v_a": b""},
-        num_shards=num_partitions,
     )
 
     def payload_matrix(col: "pa.ChunkedArray", n_rows: int) -> np.ndarray:

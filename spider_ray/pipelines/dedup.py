@@ -1,15 +1,15 @@
 """Deduplication family over a documents table — exact, MinHash+LSH,
 SimHash, n-gram Jaccard, embedding-cosine — each shaped for the 100 TB tier:
 
-- **exact**: content-hash column (vectorized md5) → ``groupby(fp)`` →
-  first-wins (min doc_id). One shuffle over (fp, doc_id) pairs only — the
-  text never moves.
+- **exact**: content-hash column (vectorized md5) → ``shard_exchange``
+  on the hash → first-wins (min doc_id). One exchange of (fp, doc_id)
+  pairs only — the text never moves.
 - **MinHash+LSH**: per-doc shingle-hash SKETCHES (vectorized polynomial
   over cached md5 word hashes) are computed once and materialized; 64
   minhashes derive from the sketch (numpy universal hashes); 32 bands × 2
-  rows explode to ``(band_id, k1, k2, doc_id)`` rows sharded by band-key
-  hash; candidate pairs come from ONE task-based sort shuffle + a
-  vectorized per-shard pass (lexsort + bucket boundaries + triu — no
+  rows explode to ``(band_id, k1, k2, doc_id)`` rows; candidate pairs come
+  from ONE ``shard_exchange`` on the band key + a vectorized per-shard
+  pass (lexsort + bucket boundaries + triu — no
   per-bucket Python, no ``Dataset.join`` actor fleets); pairs are deduped
   in the attach shard and verified by EXACT Jaccard over the two docs'
   sketches, attached via ``blockutil.attach_payload`` — document text is
@@ -209,15 +209,13 @@ def exact_dedup(sf_dir: str) -> Dataset:
     The md5 crosses the shuffle as TWO int64 columns (digest halves,
     big-endian bit patterns), not as a 32-char hex string: fixed-width int
     keys halve the shuffled key bytes and sort/hash without string
-    compares. The reduce is the INT-SHARD groupby (fingerprints co-located
-    by ``fp_hi % num_shards`` — already uniform, being md5 bits; min-doc_id
-    per key is one lexsort + first-per-key slice per shard) — a two-key
+    compares. The reduce is a ``shard_exchange`` on fp_hi (already
+    uniform, being md5 bits; min-doc_id per key is one lexsort +
+    first-per-key slice per shard) — a two-key
     ``groupby((fp_hi, fp_lo))`` sort-aggregate measured ~1.3 s slower at
     sf0.1. The hex column the oracle expects is rebuilt VECTORIZED (one
     hexlify over the packed digests) after the reduce."""
-    from spider_ray.blockutil import default_shuffle_partitions
-
-    num_shards = default_shuffle_partitions()
+    from spider_ray.blockutil import shard_exchange
 
     def fp(batch: pd.DataFrame) -> pd.DataFrame:
         digs = b"".join(hashlib.md5(t.encode()).digest() for t in batch["text"])
@@ -225,7 +223,6 @@ def exact_dedup(sf_dir: str) -> Dataset:
         hi = halves[:, 0].astype(np.uint64).view(np.int64)
         return pd.DataFrame(
             {
-                "_s": (hi.view(np.uint64) % np.uint64(num_shards)).astype(np.int64),
                 "fp_hi": hi,
                 "fp_lo": halves[:, 1].astype(np.uint64).view(np.int64),
                 "doc_id": batch["doc_id"],
@@ -260,12 +257,12 @@ def exact_dedup(sf_dir: str) -> Dataset:
             {"fp": pa.array(fps, pa.string()), "doc_id": batch.column("doc_id")}
         )
 
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(fp, batch_format="pandas")
-    return (
-        ds.groupby("_s")
-        .map_groups(shard_min, batch_format="pandas")
-        .map_batches(to_hex, batch_format="pyarrow")
-    )
+    return shard_exchange(
+        _docs(sf_dir, ["doc_id", "text"]).map_batches(fp, batch_format="pandas"),
+        "fp_hi",
+        shard_min,
+        pa.schema([("fp_hi", pa.int64()), ("fp_lo", pa.int64()), ("doc_id", pa.int64())]),
+    ).map_batches(to_hex, batch_format="pyarrow")
 
 
 def ngram_jaccard_pairs(
@@ -356,11 +353,7 @@ def sketch_documents(docs: Dataset, n: int = 3) -> Dataset:
     return docs.map_batches(to_sketch, batch_format="pyarrow")
 
 
-def minhash_lsh_pairs(
-    docs: Dataset | str,
-    jaccard_threshold: float = 0.8,
-    num_partitions: int | None = None,
-) -> Dataset:
+def minhash_lsh_pairs(docs: Dataset | str, jaccard_threshold: float = 0.8) -> Dataset:
     """MinHash+LSH near-dup candidate generation + exact-Jaccard verify.
 
     Returns one row per verified pair: (doc_a, doc_b, n_inter, n_union) with
@@ -368,15 +361,19 @@ def minhash_lsh_pairs(
     (integer comparison on both sides — float 0.8·union would disagree with
     the SQL oracle at exact-boundary pairs). Shuffles carry only sketches,
     band keys and id pairs; text moves once (into the sketch pass)."""
-    pct = int(round(jaccard_threshold * 100))
-    if num_partitions is None:
-        from spider_ray.blockutil import default_shuffle_partitions
+    from spider_ray.blockutil import (
+        attach_payload,
+        default_shuffle_partitions,
+        shard_exchange,
+        unique_pairs,
+    )
 
-        num_partitions = default_shuffle_partitions()
+    pct = int(round(jaccard_threshold * 100))
     if isinstance(docs, str):
         # re-split: a single parquet file arrives as one block and the
-        # shingle-hash pass is CPU-heavy — one task would serialize it
-        docs = _docs(docs, ["doc_id", "text"]).repartition(32)
+        # shingle-hash pass is CPU-heavy — one task would serialize it;
+        # one block per CPU is all the parallelism there is
+        docs = _docs(docs, ["doc_id", "text"]).repartition(default_shuffle_partitions())
     # materialized (inside _drop_empty_blocks) so banding + the two verify
     # attaches reuse one sketch pass instead of re-reading text per
     # consumption; sketches spill fine.
@@ -405,20 +402,8 @@ def minhash_lsh_pairs(
         # int64-safe); shuffle on plain int columns, no re-hashing
         k1 = sigs[:, 0::2].astype(np.int64).reshape(-1)
         k2 = sigs[:, 1::2].astype(np.int64).reshape(-1)
-        # shard = hash of the full band key: every member of one LSH bucket
-        # lands in one shard, shards are ~uniform across buckets
-        shard = (
-            np.uint64(0x9E3779B97F4A7C15)
-            * (
-                k1.astype(np.uint64)
-                ^ (k2.astype(np.uint64) << np.uint64(1))
-                ^ band_id.astype(np.uint64)
-            )
-            >> np.uint64(40)
-        ) % np.uint64(num_partitions)
         return pa.table(
             {
-                "_shard": pa.array(shard.astype(np.int64)[keep]),
                 "band_id": pa.array(band_id[keep]),
                 "k1": pa.array(k1[keep]),
                 "k2": pa.array(k2[keep]),
@@ -426,10 +411,10 @@ def minhash_lsh_pairs(
             }
         )
 
-    # Candidate pairs WITHOUT Dataset.join: one task-based sort shuffle on
-    # the int shard key, then a vectorized per-SHARD pass (lexsort + bucket
-    # boundaries + triu expansion) — one Python call per shard, never per
-    # bucket or per pair. ray 2.49's join is a hash-shuffle ACTOR fleet per
+    # Candidate pairs WITHOUT Dataset.join: one shard_exchange on the full
+    # band key (every member of one LSH bucket in one call), then a
+    # vectorized per-SHARD pass (lexsort + bucket boundaries + triu
+    # expansion) — one Python call per shard, never per bucket or per pair. ray 2.49's join is a hash-shuffle ACTOR fleet per
     # execution (~2-3 s spawn each, measured) and its empty-block schema
     # broadcast is a load-order flake that forces a full materialization of
     # every input (see blockutil.drop_empty_blocks); the groupby shape needs
@@ -470,18 +455,19 @@ def minhash_lsh_pairs(
         # per-shard dedup only; the global dedup happens in the attach-A
         # shard (all copies of a pair share doc_a, hence one shard).
         # unique_pairs: packed-key np.unique behind an id-width guard
-        from spider_ray.blockutil import unique_pairs
-
         av, bv = unique_pairs(np.minimum(a, bb), np.maximum(a, bb))
         return pd.DataFrame({"doc_a": av, "doc_b": bv})
 
-    pairs = bands.groupby("_shard").map_groups(shard_pairs, batch_format="pandas")
+    pairs = shard_exchange(
+        bands,
+        ["band_id", "k1", "k2"],
+        shard_pairs,
+        pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())]),
+    )
 
-    # verify stage: attach each side's sketch with the same task-based
-    # sharded merge (sketch bytes cross the shuffle once per unique pair
-    # side — never per band collision)
-    from spider_ray.blockutil import attach_payload
-
+    # verify stage: attach each side's sketch with the same shard exchange
+    # (sketch bytes cross it once per unique pair side — never per band
+    # collision)
     with_a = attach_payload(
         pairs,
         sk,
@@ -489,8 +475,6 @@ def minhash_lsh_pairs(
         payload_key="doc_id",
         payload_col="sh",
         out_col="sh_a",
-        pair_cols={"doc_a": np.int64(0), "doc_b": np.int64(0)},
-        num_shards=num_partitions,
         dedup_on=["doc_a", "doc_b"],
     )
     with_ab = attach_payload(
@@ -500,8 +484,6 @@ def minhash_lsh_pairs(
         payload_key="doc_id",
         payload_col="sh",
         out_col="sh_b",
-        pair_cols={"doc_a": np.int64(0), "doc_b": np.int64(0), "sh_a": b""},
-        num_shards=num_partitions,
     )
 
     def verify(batch: pa.Table) -> pa.Table:
@@ -558,9 +540,7 @@ def _clusters_union_find(pairs: pd.DataFrame) -> pa.Table:
     )
 
 
-def _clusters_label_propagation(
-    pairs: Dataset, num_shards: int | None = None, max_iters: int = 10_000
-) -> pa.Table:
+def _clusters_label_propagation(pairs: Dataset, max_iters: int = 10_000) -> pa.Table:
     """DISTRIBUTED connected components by iterative min-label propagation —
     the branch for dup graphs too large for one driver's union-find
     (degenerate boilerplate corpora where the pair set itself is huge).
@@ -568,9 +548,9 @@ def _clusters_label_propagation(
     Shape: edges are symmetrized ONCE and materialized (src, dst — two
     int64s per direction); labels start as (node, lbl=node). Each iteration
     is label(v) ← min(label(v), min over neighbors u of label(u)), as pure
-    Dataset ops: one task-based shard groupby merges labels onto edges by
-    src (the attach_payload pattern with an int payload), the propagated
-    (dst, lbl) rows union with the current labels, and one
+    Dataset ops: one ``shard_join`` on src merges labels onto edges (the
+    attach_payload pattern with an int payload) and emits the propagated
+    (dst, lbl) rows together with the current labels, and one
     ``groupby(node).min(lbl)`` produces the next labels. Fixpoint ⇔ the
     exact label sum is unchanged (labels are elementwise monotone
     non-increasing; per-block int64 partials summed as Python ints, so no
@@ -585,30 +565,21 @@ def _clusters_label_propagation(
     holding it."""
     from ray.data.aggregate import Min as AggMin
 
-    if num_shards is None:
-        from spider_ray.blockutil import default_shuffle_partitions
-
-        num_shards = default_shuffle_partitions()
+    from spider_ray.blockutil import drop_empty_blocks, shard_join
 
     def symmetrize(b: pa.Table) -> pa.Table:
         a = b.column("doc_a").to_numpy()
         bb = b.column("doc_b").to_numpy()
-        src = np.concatenate([a, bb])
-        dst = np.concatenate([bb, a])
-        shard = (pd.util.hash_array(src) % num_shards).astype(np.int64)
         return pa.table(
             {
-                "_s": pa.array(shard),
-                "src": pa.array(src, pa.int64()),
-                "dst": pa.array(dst, pa.int64()),
+                "src": pa.array(np.concatenate([a, bb]), pa.int64()),
+                "dst": pa.array(np.concatenate([bb, a]), pa.int64()),
             }
         )
 
-    from spider_ray.blockutil import drop_empty_blocks
-
     edges = drop_empty_blocks(
         pairs.map_batches(symmetrize, batch_format="pyarrow"),
-        pa.schema([("_s", pa.int64()), ("src", pa.int64()), ("dst", pa.int64())]),
+        pa.schema([("src", pa.int64()), ("dst", pa.int64())]),
     )
 
     def init_labels(b: pa.Table) -> pa.Table:
@@ -634,41 +605,13 @@ def _clusters_label_propagation(
         )
         return sum(r["s"] for r in parts.take_all())
 
-    # attach: tag both sides, one shard groupby, vectorized pandas merge per
-    # shard (edges carry a precomputed _s; labels hash the same way)
-    def tag_labels(b: pd.DataFrame) -> pd.DataFrame:
-        k = b["node"].to_numpy().astype(np.int64)
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(k) % num_shards).astype(np.int64),
-                "_t": np.zeros(len(k), dtype=np.int8),
-                "src": k,
-                "dst": np.full(len(k), -1, dtype=np.int64),
-                "lbl": b["lbl"].to_numpy().astype(np.int64),
-            }
-        )
+    def as_src(b: pa.Table) -> pa.Table:
+        return pa.table({"src": b.column("node"), "lbl": b.column("lbl")})
 
-    def tag_edges(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "_s": b["_s"].to_numpy().astype(np.int64),
-                "_t": np.ones(len(b), dtype=np.int8),
-                "src": b["src"].to_numpy().astype(np.int64),
-                "dst": b["dst"].to_numpy().astype(np.int64),
-                "lbl": np.zeros(len(b), dtype=np.int64),
-            }
-        )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
+    def merge(lab: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
         # emits BOTH the propagated (dst, lbl-of-src) rows and the current
-        # label rows themselves — the old labels are already in this tagged
-        # stream, so re-emitting them here replaces a separate
-        # cand.union(labels) (which would mix this stage's pandas blocks
-        # with the aggregate's Arrow blocks — ray 2.49's sort sampling
-        # asserts one block type per input — and cost an extra exchange)
-        is_lbl = g["_t"].to_numpy() == 0
-        lab = g.loc[is_lbl, ["src", "lbl"]]
-        e = g.loc[~is_lbl, ["src", "dst"]]
+        # label rows themselves, so the next aggregate needs no separate
+        # union with the old labels (and no extra exchange)
         out = e.merge(lab, on="src", how="inner")
         return pd.DataFrame(
             {
@@ -681,12 +624,12 @@ def _clusters_label_propagation(
             }
         )
 
+    schema = pa.schema([("node", pa.int64()), ("lbl", pa.int64())])
     cur_sum = label_sum(labels)
     for _ in range(max_iters):
-        tagged = edges.map_batches(tag_edges, batch_format="pandas").union(
-            labels.map_batches(tag_labels, batch_format="pandas")
+        cand = shard_join(
+            labels.map_batches(as_src, batch_format="pyarrow"), edges, "src", merge, schema
         )
-        cand = tagged.groupby("_s").map_groups(merge, batch_format="pandas")
         labels = (
             cand.groupby("node")
             .aggregate(AggMin("lbl", alias_name="lbl"))
@@ -773,9 +716,7 @@ def simhash_table(sf_dir: str) -> Dataset:
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pandas")
 
 
-def simhash_near_dup_pairs(
-    sf_dir: str, max_hamming: int = 3, num_partitions: int | None = None
-) -> Dataset:
+def simhash_near_dup_pairs(sf_dir: str, max_hamming: int = 3) -> Dataset:
     """SimHash near-dup pairs: ``(doc_a, doc_b)`` with hamming distance ≤
     ``max_hamming`` between the docs' 64-bit SimHashes.
 
@@ -787,9 +728,9 @@ def simhash_near_dup_pairs(
     popcount, so precision is exact too. That makes the DuckDB
     ``bit_count(xor(...))`` all-pairs SQL its driver oracle at any scale.
 
-    Shuffle discipline (the minhash/embedding-LSH shard pattern): band
-    rows are ``(_shard, band, key, doc_id, sh)`` — 40 B of ints; one
-    task-based sort shuffle co-locates each band bucket, pairs expand +
+    Exchange discipline (the minhash/embedding-LSH shard pattern): band
+    rows are ``(band, key, doc_id, sh)`` — 32 B of ints; one
+    ``shard_exchange`` on (band, key) co-locates each band bucket, pairs expand +
     verify per shard (only survivors materialize), and a final single-task
     merge dedups the cross-band copies of each surviving pair (survivors
     ARE the answer the caller collects). Hot-bucket note: a band bucket of
@@ -799,32 +740,21 @@ def simhash_near_dup_pairs(
     bands = max_hamming + 1
     band_bits = 64 // bands
     mask = np.uint64((1 << band_bits) - 1)
-    if num_partitions is None:
-        from spider_ray.blockutil import default_shuffle_partitions
-
-        num_partitions = default_shuffle_partitions()
 
     def to_bands(batch: pd.DataFrame) -> pa.Table:
         sh = np.fromiter(
             (simhash64(t) for t in batch["text"]), np.uint64, len(batch)
         )
         ids = batch["doc_id"].to_numpy(np.int64)
-        out_s, out_b, out_k, out_d, out_h = [], [], [], [], []
+        out_b, out_k, out_d, out_h = [], [], [], []
         for b in range(bands):
             key = (sh >> np.uint64(b * band_bits)) & mask
-            shard = (
-                np.uint64(0x9E3779B97F4A7C15)
-                * (key ^ (np.uint64(b) << np.uint64(48)))
-                >> np.uint64(40)
-            ) % np.uint64(num_partitions)
-            out_s.append(shard.astype(np.int64))
             out_b.append(np.full(len(ids), b, dtype=np.int64))
             out_k.append(key.astype(np.int64))
             out_d.append(ids)
             out_h.append(sh.astype(np.int64))  # two's-complement view
         return pa.table(
             {
-                "_shard": pa.array(np.concatenate(out_s)),
                 "band": pa.array(np.concatenate(out_b)),
                 "key": pa.array(np.concatenate(out_k)),
                 "doc_id": pa.array(np.concatenate(out_d)),
@@ -882,22 +812,21 @@ def simhash_near_dup_pairs(
         )
         return pa.table({"doc_a": pa.array(av), "doc_b": pa.array(bv)})
 
-    pairs = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(to_bands, batch_format="pandas", batch_size=None)
-        .groupby("_shard")
-        .map_groups(shard_pairs, batch_format="pandas")
+    from spider_ray.blockutil import final_merge, shard_exchange
+
+    schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
+    pairs = shard_exchange(
+        _docs(sf_dir, ["doc_id", "text"]).map_batches(
+            to_bands, batch_format="pandas", batch_size=None
+        ),
+        ["band", "key"],
+        shard_pairs,
+        schema,
     )
     # survivors ARE the answer; final_merge drops empty blocks, coalesces to
     # one merge task, and auto-inserts an intermediate repartition(cpus)
     # merge level if partial rows ever exceed its threshold (10^6-block tier)
-    from spider_ray.blockutil import final_merge
-
-    return final_merge(
-        pairs,
-        dedup_merge,
-        pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())]),
-    )
+    return final_merge(pairs, dedup_merge, schema)
 
 
 def embedding_near_dup_pairs(

@@ -11,13 +11,13 @@ chained CTEs (standard SQL forbids aggregation in a recursive CTE member).
 
 Scale shape: one iteration = one ``map_batches`` (emit the node's teleport
 row plus one share row per out-edge, partial-aggregated per destination
-inside the batch — sort + reduceat, the q1 combiner) + one int-shard hash
-groupby whose per-shard reduce is a vectorized sort+reduceat keyed on the
-destination node. The shuffle carries two-int64 rows,
-O(distinct dsts per block), never the text. K iterations chain lazily into
-one streaming DAG; nothing materializes until the final top-k, which is a
-per-block partial top-k + an answer-sized driver merge (the brute_topk
-pattern). Rank state per iteration is node-sized (16 B/row) — at the
+inside the batch — sort + reduceat, the q1 combiner) + one
+``shard_exchange`` on the destination node whose per-shard reduce is a
+vectorized sort+reduceat. The exchange carries two-int64 rows,
+O(distinct dsts per block), never the text. Each iteration's input is
+materialized by the exchange (it sizes itself from the row count); the
+final top-k is a per-block partial top-k + an answer-sized driver merge
+(the brute_topk pattern). Rank state per iteration is node-sized (16 B/row) — at the
 10^10-page design point it lives in the object store across the shuffle,
 exactly like one crawl-frontier round.
 """
@@ -76,17 +76,12 @@ def pagerank_docs(
 
     ranks = docs.map_batches(init, batch_format="pyarrow")
 
-    from spider_ray.blockutil import default_shuffle_partitions
-
-    num_shards = default_shuffle_partitions()
-
     def step(b: pa.Table) -> pa.Table:
         node = b.column("node").to_numpy()
         r = b.column("r").to_numpy()
         if not len(node):
             return pa.table(
                 {
-                    "_s": pa.array([], pa.int64()),
                     "node": pa.array([], pa.int64()),
                     "r": pa.array([], pa.int64()),
                     "is_node": pa.array([], pa.int64()),
@@ -118,19 +113,16 @@ def pagerank_docs(
         dst = dst[starts]
         return pa.table(
             {
-                "_s": pa.array(
-                    (pd.util.hash_array(dst) % num_shards).astype(np.int64)
-                ),
                 "node": pa.array(dst, pa.int64()),
                 "r": pa.array(np.add.reduceat(val, starts)),
                 "is_node": pa.array(np.add.reduceat(is_node, starts)),
             }
         )
 
-    # Per-iteration reduce is an INT-SHARD groupby (each destination node
-    # co-located on its hash shard; one vectorized sort+reduceat per shard,
-    # phantom drop fused in) — a node-grain ``groupby(node)`` sort-aggregate
-    # measured ~0.7 s/iteration at sf0.1 vs ~0.1 s for the shard shape.
+    # Per-iteration reduce is a shard_exchange on node (each destination
+    # node in one call; one vectorized sort+reduceat per shard, phantom drop
+    # fused in) — a node-grain ``groupby(node)`` sort-aggregate measured
+    # ~0.7 s/iteration at sf0.1 vs ~0.1 s for the shard shape.
     def shard_sum(g: pd.DataFrame) -> pa.Table:
         node = g["node"].to_numpy()
         r = g["r"].to_numpy()
@@ -148,11 +140,12 @@ def pagerank_docs(
             }
         )
 
+    from spider_ray.blockutil import shard_exchange
+
+    schema = pa.schema([("node", pa.int64()), ("r", pa.int64())])
     for _ in range(iterations):
-        ranks = (
-            ranks.map_batches(step, batch_format="pyarrow")
-            .groupby("_s")
-            .map_groups(shard_sum, batch_format="pandas")
+        ranks = shard_exchange(
+            ranks.map_batches(step, batch_format="pyarrow"), "node", shard_sum, schema
         )
 
     def local_topk(b: pa.Table) -> pa.Table:

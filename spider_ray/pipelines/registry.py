@@ -89,7 +89,7 @@ QUERIES = {
     "top_users_by_events": relational.top_users_by_events,
     "sessionize": relational.sessionize,
     # as-of join (backward, strict) — Ray Data lacks one; composed as a
-    # user-hash tagged-union shuffle + one compiled merge_asof per shard
+    # user_id shard exchange + one compiled merge_asof per shard
     "asof_prev_event": relational.asof_prev_event,
     # non-equi range (band) join — window count as a difference of two
     # as-of lookups over a per-user cumulative counter

@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
 
 
 def _t(sf_dir: str, name: str) -> str:
@@ -101,6 +101,26 @@ def topk_longest_docs(sf_dir: str, k: int = 20) -> Dataset:
 
 def _cents(arr: np.ndarray) -> np.ndarray:
     return np.rint(np.asarray(arr, dtype=np.float64) * 100).astype(np.int64)
+
+
+def _us(col) -> np.ndarray:
+    """A date/timestamp column as int64 epoch-µs — the form times cross an
+    exchange in (see events_hourly)."""
+    return col.to_numpy().astype("datetime64[us]").astype(np.int64)
+
+
+def _ts_as_us(b: pa.Table) -> pa.Table:
+    """``b`` with its ``ts`` column as int64 epoch-µs."""
+    return b.set_column(b.schema.get_field_index("ts"), "ts", pa.array(_us(b.column("ts"))))
+
+
+def _isin_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Membership mask of ``probe`` in ``sorted_keys`` by one vectorized
+    searchsorted — the kernel of every semi and anti join here."""
+    if not len(sorted_keys):
+        return np.zeros(len(probe), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, probe), len(sorted_keys) - 1)
+    return sorted_keys[pos] == probe
 
 
 def q1_pricing_summary(sf_dir: str) -> Dataset:
@@ -406,15 +426,13 @@ def top_events_per_type(sf_dir: str, k: int = 3) -> Dataset:
 
 
 def top_users_by_events(sf_dir: str, k: int = 10) -> Dataset:
-    """Per-batch PARTIAL counts (q1 combiner pattern) → INT-SHARD groupby
-    (each user co-located on its hash shard; the shard sums per user and
-    keeps its local top-k, valid because the global top-k is a subset of
-    the union of shard top-ks) → answer-sized final merge. The shuffle
-    carries O(users × blocks) rows, never O(events), and nothing pays a
-    user-grain sort."""
-    from spider_ray.blockutil import default_shuffle_partitions, final_merge
+    """Per-batch PARTIAL counts (q1 combiner pattern) → ``shard_exchange``
+    on user_id (each shard sums per user and keeps its local top-k, valid
+    because the global top-k is a subset of the union of shard top-ks) →
+    answer-sized final merge. The exchange carries O(users × blocks) rows,
+    never O(events), and nothing pays a user-grain sort."""
+    from spider_ray.blockutil import final_merge, shard_exchange
 
-    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -423,15 +441,8 @@ def top_users_by_events(sf_dir: str, k: int = 10) -> Dataset:
         )
         g = t.group_by("user_id").aggregate([("n_events", "sum")])
         # by-name selection — see source_counts for why not rename_columns
-        uid = g.column("user_id").to_numpy()
         return pa.table(
-            {
-                "_s": pa.array(
-                    (pd.util.hash_array(uid) % num_shards).astype(np.int64)
-                ),
-                "user_id": g.column("user_id"),
-                "n_events": g.column("n_events_sum"),
-            }
+            {"user_id": g.column("user_id"), "n_events": g.column("n_events_sum")}
         )
 
     def shard_topk(g: pd.DataFrame) -> pa.Table:
@@ -454,16 +465,11 @@ def top_users_by_events(sf_dir: str, k: int = 10) -> Dataset:
         order = np.lexsort((d["user_id"].to_numpy(), -d["n_events"].to_numpy()))[:k]
         return d.iloc[order].reset_index(drop=True)
 
-    shards = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_s")
-        .map_groups(shard_topk, batch_format="pandas")
+    schema = pa.schema([("user_id", pa.int64()), ("n_events", pa.int64())])
+    shards = shard_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "user_id", shard_topk, schema
     )
-    return final_merge(
-        shards,
-        merge_topk,
-        pa.schema([("user_id", pa.int64()), ("n_events", pa.int64())]),
-    )
+    return final_merge(shards, merge_topk, schema)
 
 
 def q3_shipping_priority(
@@ -471,56 +477,38 @@ def q3_shipping_priority(
     segment: str = "BUILDING",
     cutoff: str = "1998-01-01",
     k: int = 10,
-    num_shards: int | None = None,
     broadcast_customer: bool = True,
 ) -> Dataset:
     """TPC-H-Q3-shaped 3-table join: top-k orders of one market segment by
     lineitem revenue either side of a date cutoff.
 
-    Physical plan (the missing shape in the query surface until now — a
-    LARGE ⋈ LARGE join as a first-class relational query, not just inside
-    the crawl's frontier⋈pages stage):
+    Physical plan (a LARGE ⋈ LARGE join as a first-class relational query,
+    not just inside the crawl's frontier⋈pages stage):
 
     - customer is the dimension side: the driver reads only (custkey,
       segment), filters to the segment, and broadcasts the matching keys as
       ONE sorted int64 array via ``ray.put`` (the orders_by_segment
       pattern; ~1.2 MB per 10^6 matching customers — broadcast stays sane
       far past the test tier). ``broadcast_customer=False`` switches to
-      the shuffle SEMI-JOIN path for a customer side too big to
-      broadcast: the same tagged-union shape keyed on custkey, both sides
-      filtered at the scan, pytest-pinned equal to the broadcast path.
-    - orders ⋈ lineitem (both fact tables) is a broadcast-free hash-shuffle
-      join in the attach_payload style: both sides are filtered AT THE SCAN
-      and tagged with ``_s = hash(orderkey) % P``; lineitem revenue is
-      PARTIAL-aggregated per batch before the shuffle, so the exchange
+      a ``shard_join`` SEMI-JOIN on custkey for a customer side too big to
+      broadcast, both sides filtered at the scan, pytest-pinned equal to
+      the broadcast path.
+    - orders ⋈ lineitem (both fact tables) is a broadcast-free
+      ``shard_join`` on orderkey, both sides filtered AT THE SCAN; lineitem
+      revenue is PARTIAL-aggregated per batch first, so the exchange
       carries one row per (orderkey, block) on the big side, never one per
       lineitem row.
     - each shard does one vectorized reduce + searchsorted probe and emits
-      only its local top-k; the final merge sees ≤ k × P rows.
+      only its local top-k; the final merge sees ≤ k rows per shard.
 
-    Dates cross the shuffle as int64 epoch-µs (see events_hourly) and are
+    Dates cross the exchange as int64 epoch-µs (see events_hourly) and are
     cast back to timestamp[us] at the very end. Revenue uses the q1
     integer contract: ``revenue_c4 = Σ cents(extprice) × (100 −
     cents(discount))`` so partial sums match DuckDB bit-exactly."""
-    from spider_ray.blockutil import default_shuffle_partitions, final_merge
+    from spider_ray.blockutil import final_merge, shard_join
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     cut_us = np.int64(np.datetime64(cutoff, "us").astype(np.int64))
-
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def _tag_orders(key: np.ndarray, dt: np.ndarray) -> pd.DataFrame:
-        # orderkey-keyed tagged rows for the orders⋈lineitem exchange
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(key) % num_shards).astype(np.int64),
-                "_t": np.zeros(len(key), dtype=np.int8),
-                "o_orderkey": key,
-                "o_orderdate": dt,
-                "revenue_c4": np.zeros(len(key), dtype=np.int64),
-            }
-        )
 
     if broadcast_customer:
         cust = pq.read_table(
@@ -535,98 +523,44 @@ def q3_shipping_priority(
             from spider_ray.stages.broadcast import get_broadcast
 
             cks = get_broadcast(ck_ref)  # sorted custkeys, once per worker
-            key = b.column("o_orderkey").to_numpy()
-            cu = b.column("o_custkey").to_numpy()
-            dt = (
-                b.column("o_orderdate")
-                .to_numpy()
-                .astype("datetime64[us]")
-                .astype(np.int64)
+            dt = _us(b.column("o_orderdate"))
+            keep = (dt < cut_us) & _isin_sorted(cks, b.column("o_custkey").to_numpy())
+            return pd.DataFrame(
+                {"o_orderkey": b.column("o_orderkey").to_numpy()[keep], "o_orderdate": dt[keep]}
             )
-            keep = dt < cut_us
-            if len(cks):
-                pos = np.minimum(np.searchsorted(cks, cu), len(cks) - 1)
-                keep &= cks[pos] == cu
-            else:
-                keep &= False
-            return _tag_orders(key[keep], dt[keep])
 
-        orders_tagged = orders.map_batches(orders_side, batch_format="pyarrow")
+        order_rows = orders.map_batches(orders_side, batch_format="pyarrow")
     else:
         # Shuffle semi-join path — the documented seam for a customer side
-        # too big to broadcast: the SAME tagged-union shape, keyed on
-        # custkey. Both sides filter at the scan; the exchange carries
-        # (custkey[, orderkey, orderdate]) int64 rows only.
+        # too big to broadcast: both sides filter at the scan; the exchange
+        # carries (custkey[, orderkey, orderdate]) int64 rows only.
         cust_ds = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
-        def cust_side(b: pa.Table) -> pd.DataFrame:
-            ck = (
-                b.filter(pc.equal(b.column("c_mktsegment"), segment))
-                .column("c_custkey")
-                .to_numpy()
-                .astype(np.int64)
-            )
-            return pd.DataFrame(
-                {
-                    "_c": (pd.util.hash_array(ck) % num_shards).astype(np.int64),
-                    "_t": np.zeros(len(ck), dtype=np.int8),
-                    "o_custkey": ck,
-                    "o_orderkey": np.zeros(len(ck), dtype=np.int64),
-                    "o_orderdate": np.zeros(len(ck), dtype=np.int64),
-                }
-            )
+        def cust_side(b: pa.Table) -> pa.Table:
+            ck = b.filter(pc.equal(b.column("c_mktsegment"), segment)).column("c_custkey")
+            return pa.table({"o_custkey": ck.cast(pa.int64())})
 
         def ord_side(b: pa.Table) -> pd.DataFrame:
-            dt = (
-                b.column("o_orderdate")
-                .to_numpy()
-                .astype("datetime64[us]")
-                .astype(np.int64)
-            )
+            dt = _us(b.column("o_orderdate"))
             keep = dt < cut_us
-            cu = b.column("o_custkey").to_numpy()[keep]
             return pd.DataFrame(
                 {
-                    "_c": (pd.util.hash_array(cu) % num_shards).astype(np.int64),
-                    "_t": np.ones(len(cu), dtype=np.int8),
-                    "o_custkey": cu,
+                    "o_custkey": b.column("o_custkey").to_numpy()[keep],
                     "o_orderkey": b.column("o_orderkey").to_numpy()[keep],
                     "o_orderdate": dt[keep],
                 }
             )
 
-        def shard_semi(g: pd.DataFrame) -> pa.Table:
-            t = g["_t"].to_numpy()
-            ck = np.sort(g.loc[t == 0, "o_custkey"].to_numpy())
-            o = g.loc[t == 1]
-            cu = o["o_custkey"].to_numpy()
-            if len(ck):
-                pos = np.minimum(np.searchsorted(ck, cu), len(ck) - 1)
-                hit = ck[pos] == cu
-            else:
-                hit = np.zeros(len(cu), dtype=bool)
-            return pa.table(
-                {
-                    "o_orderkey": pa.array(
-                        o["o_orderkey"].to_numpy()[hit], pa.int64()
-                    ),
-                    "o_orderdate": pa.array(
-                        o["o_orderdate"].to_numpy()[hit], pa.int64()
-                    ),
-                }
-            )
+        def shard_semi(c: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
+            hit = _isin_sorted(np.sort(c["o_custkey"].to_numpy()), o["o_custkey"].to_numpy())
+            return o.loc[hit, ["o_orderkey", "o_orderdate"]]
 
-        filtered = (
-            cust_ds.map_batches(cust_side, batch_format="pyarrow")
-            .union(orders.map_batches(ord_side, batch_format="pyarrow"))
-            .groupby("_c")
-            .map_groups(shard_semi, batch_format="pandas")
-        )
-        orders_tagged = filtered.map_batches(
-            lambda b: _tag_orders(
-                b["o_orderkey"].to_numpy(), b["o_orderdate"].to_numpy()
-            ),
-            batch_format="pandas",
+        order_rows = shard_join(
+            cust_ds.map_batches(cust_side, batch_format="pyarrow"),
+            orders.map_batches(ord_side, batch_format="pyarrow"),
+            "o_custkey",
+            shard_semi,
+            pa.schema([("o_orderkey", pa.int64()), ("o_orderdate", pa.int64())]),
         )
 
     line = _read(
@@ -634,8 +568,7 @@ def q3_shipping_priority(
     )
 
     def line_side(b: pa.Table) -> pd.DataFrame:
-        sd = b.column("l_shipdate").to_numpy().astype("datetime64[us]").astype(np.int64)
-        keep = sd > cut_us
+        keep = _us(b.column("l_shipdate")) > cut_us
         key = b.column("l_orderkey").to_numpy()[keep]
         rev = _cents(b.column("l_extendedprice").to_numpy()[keep]) * (
             100 - _cents(b.column("l_discount").to_numpy()[keep])
@@ -645,47 +578,23 @@ def q3_shipping_priority(
             key, rev = key[order], rev[order]
             starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
             key, rev = key[starts], np.add.reduceat(rev, starts)
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(key) % num_shards).astype(np.int64),
-                "_t": np.ones(len(key), dtype=np.int8),
-                "o_orderkey": key,
-                "o_orderdate": np.zeros(len(key), dtype=np.int64),
-                "revenue_c4": rev,
-            }
-        )
-
-    tagged = orders_tagged.union(line.map_batches(line_side, batch_format="pyarrow"))
-
-    def local_topk(b: pd.DataFrame) -> pd.DataFrame:
-        return b.sort_values(
-            ["revenue_c4", "o_orderkey"], ascending=[False, True]
-        ).head(k)
+        return pd.DataFrame({"o_orderkey": key, "revenue_c4": rev})
 
     def topk(b: pd.DataFrame) -> pd.DataFrame:
         # merge fn for final_merge: top-k + the int64-µs → datetime cast
         # (idempotent — the cast is skipped when a prior level already did
         # it; doing it here instead of a trailing map_batches keeps the
         # schema on EMPTY results, which map_batches would never visit)
-        b = local_topk(b)
+        b = b.sort_values(["revenue_c4", "o_orderkey"], ascending=[False, True]).head(k)
         if b["o_orderdate"].dtype == np.int64:
             b = b.assign(
                 o_orderdate=b["o_orderdate"].to_numpy().astype("datetime64[us]")
             )
         return b
 
-    def shard_merge(g: pd.DataFrame) -> pd.DataFrame:
-        t = g["_t"].to_numpy()
-        o, li = g.loc[t == 0], g.loc[t == 1]
-        empty = pd.DataFrame(
-            {
-                "o_orderkey": np.array([], dtype=np.int64),
-                "revenue_c4": np.array([], dtype=np.int64),
-                "o_orderdate": np.array([], dtype=np.int64),
-            }
-        )
+    def shard_merge(o: pd.DataFrame, li: pd.DataFrame) -> pd.DataFrame:
         if not len(o) or not len(li):
-            return empty
+            return topk(pd.DataFrame({c: np.array([], np.int64) for c in schema.names}))
         lk = li["o_orderkey"].to_numpy()
         lr = li["revenue_c4"].to_numpy()
         order = np.argsort(lk, kind="stable")
@@ -707,53 +616,43 @@ def q3_shipping_priority(
         )
         return topk(out)  # ≤ k rows leave each shard
 
-    merged = tagged.groupby("_s").map_groups(shard_merge, batch_format="pandas")
     # the µs→timestamp cast lives inside ``topk`` (idempotently), so this
     # schema is the FINAL one — final_merge returns it as-is on the empty
     # path (a trailing cast map_batches would drop an empty result's schema)
-    return final_merge(
-        merged,
-        topk,
-        pa.schema(
-            [
-                ("o_orderkey", pa.int64()),
-                ("revenue_c4", pa.int64()),
-                ("o_orderdate", pa.timestamp("us")),
-            ]
-        ),
+    schema = pa.schema(
+        [
+            ("o_orderkey", pa.int64()),
+            ("revenue_c4", pa.int64()),
+            ("o_orderdate", pa.timestamp("us")),
+        ]
     )
+    merged = shard_join(
+        order_rows,
+        line.map_batches(line_side, batch_format="pyarrow"),
+        "o_orderkey",
+        shard_merge,
+        schema,
+    )
+    return final_merge(merged, topk, schema)
 
 
-def distinct_users_per_type(sf_dir: str, num_shards: int | None = None) -> Dataset:
+def distinct_users_per_type(sf_dir: str) -> Dataset:
     """Exact COUNT(DISTINCT user_id) per event_type.
 
     Physical shape: per-batch local distinct of (event_type, user_id) via a
     keys-only Arrow group_by (vectorized, shrinks repeats before anything
-    moves), then ONE int-key sort shuffle on ``hash(user_id) % P`` — every
-    user lands in exactly one shard, so a per-shard distinct + count is
-    globally exact — then a metadata-sized groupby sums the P partial
-    counts per type. The exchange carries the locally-distinct pairs only;
-    that is the irreducible cost of an EXACT distinct (the approximate
-    alternative at unbounded user cardinality is an HLL sketch, which this
-    engine would slot into the same combiner shape)."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    moves), then ONE ``shard_exchange`` on user_id — every user lands in
+    exactly one shard, so a per-shard distinct + count is globally exact —
+    then a metadata-sized merge sums the partial counts per type. The
+    exchange carries the locally-distinct pairs only; that is the
+    irreducible cost of an EXACT distinct (the approximate alternative at
+    unbounded user cardinality is distinct_users_hll)."""
+    from spider_ray.blockutil import merge_keyed_sums, shard_exchange
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
-    def local_distinct(b: pa.Table) -> pd.DataFrame:
-        g = b.group_by(["event_type", "user_id"]).aggregate([])
-        uid = g.column("user_id").to_numpy()
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(uid) % num_shards).astype(np.int64),
-                "event_type": g.column("event_type").to_pandas().to_numpy(),
-                "user_id": uid,
-            }
-        )
-
-    part = ds.map_batches(local_distinct, batch_format="pyarrow")
+    def local_distinct(b: pa.Table) -> pa.Table:
+        return b.group_by(["event_type", "user_id"]).aggregate([])
 
     def shard_count(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(subset=["event_type", "user_id"])
@@ -765,24 +664,23 @@ def distinct_users_per_type(sf_dir: str, num_shards: int | None = None) -> Datas
             }
         )
 
-    from spider_ray.blockutil import merge_keyed_sums
-
-    partials = part.groupby("_s").map_groups(shard_count, batch_format="pandas")
+    schema = pa.schema([("event_type", pa.string()), ("n_users", pa.int64())])
+    partials = shard_exchange(
+        ds.map_batches(local_distinct, batch_format="pyarrow"),
+        "user_id",
+        shard_count,
+        schema,
+    )
     return merge_keyed_sums(
-        partials,
-        keys=["event_type"],
-        sums=["n_users"],
-        empty_schema=pa.schema(
-            [("event_type", pa.string()), ("n_users", pa.int64())]
-        ),
+        partials, keys=["event_type"], sums=["n_users"], empty_schema=schema
     )
 
 
 def distinct_users_hll(sf_dir: str, precision_bits: int = 12) -> pa.Table:
     """Approximate COUNT(DISTINCT user_id) per event_type via HyperLogLog —
     the unbounded-cardinality scale path that ``distinct_users_per_type``'s
-    docstring promises: the exact operator's shuffle carries every locally
-    distinct (type, user) pair, which is O(users); this one's shuffle is
+    docstring promises: the exact operator's exchange carries every locally
+    distinct (type, user) pair, which is O(users); this one's exchange is
     O(types × 2^p) REGISTER rows no matter how many users exist.
 
     Shape: per-batch vectorized register partials (one ``pd.util.hash_array``
@@ -791,28 +689,27 @@ def distinct_users_hll(sf_dir: str, precision_bits: int = 12) -> pa.Table:
     and ctz vectorizes exactly: ``log2(w & -w)`` is a float-exact power of
     two). (type, register) is PACKED into one int64 key — 52-bit type hash
     ‖ p-bit register — so both the per-batch merge and the cross-block
-    shuffle ride the engine's int-key shard-groupby + ``reduceat`` fast
-    path (a 2-key string groupby here measured 7× slower than the EXACT
-    operator — the string-sort-shuffle pitfall). Final registers are
-    ≤ types·2^p rows; the standard HLL estimate (alpha_m bias factor +
-    linear-counting small-range correction) runs on that answer-sized
-    table. Deterministic given the pandas build (hash_array is
-    version-stable only within a run — fine for an in-run estimate, the
-    same caveat the fetch index guards with a sentinel). A 52-bit type-hash
-    collision (odds ~types²/2^53) would merge two types' registers — the
-    exact operator is the collision-free path.
+    ``shard_exchange`` ride one int key and a ``reduceat`` (a 2-key string
+    groupby here measured 7× slower than the EXACT operator — the
+    string-sort-shuffle pitfall). Final registers are ≤ types·2^p rows; the
+    standard HLL estimate (alpha_m bias factor + linear-counting
+    small-range correction) runs on that answer-sized table. Deterministic
+    given the pandas build (hash_array is version-stable only within a run
+    — fine for an in-run estimate, the same caveat the fetch index guards
+    with a sentinel). A 52-bit type-hash collision (odds ~types²/2^53)
+    would merge two types' registers — the exact operator is the
+    collision-free path.
 
     Accuracy: σ ≈ 1.04/√(2^p) ≈ 1.6 % at the default p=12;
     tests pin ≤ 5 % against the exact operator at sf0.01. No SQL oracle by
     design (DuckDB's approx_count_distinct is a different HLL
     implementation) — the driver records the rows-only check."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    from spider_ray.blockutil import shard_exchange
 
     p = precision_bits
     m = 1 << p
     suffix_bits = np.uint64(64 - p)
     suffix_mask = np.uint64((1 << (64 - p)) - 1)
-    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
     def _merge_by_kid(kid, rho, et):
@@ -835,14 +732,7 @@ def distinct_users_hll(sf_dir: str, precision_bits: int = 12) -> pa.Table:
         th = pd.util.hash_array(et).astype(np.uint64)
         kid = (((th >> np.uint64(12)) << np.uint64(p)) | reg).view(np.int64)
         kid, rho, et = _merge_by_kid(kid, rho, et)
-        return pd.DataFrame(
-            {
-                "_s": kid % num_shards,  # python-sign modulo: always ≥ 0
-                "kid": kid,
-                "event_type": et,
-                "rho": rho,
-            }
-        )
+        return pd.DataFrame({"kid": kid, "event_type": et, "rho": rho})
 
     def shard_registers(g: pd.DataFrame) -> pd.DataFrame:
         kid, rho, et = _merge_by_kid(
@@ -850,12 +740,12 @@ def distinct_users_hll(sf_dir: str, precision_bits: int = 12) -> pa.Table:
         )
         return pd.DataFrame({"event_type": et, "rho": rho})
 
-    regs = (
-        ds.map_batches(local_registers, batch_format="pyarrow")
-        .groupby("_s")
-        .map_groups(shard_registers, batch_format="pandas")
-        .to_pandas()  # ≤ types × 2^p rows — register-sized, never row-sized
-    )
+    regs = shard_exchange(
+        ds.map_batches(local_registers, batch_format="pyarrow"),
+        "kid",
+        shard_registers,
+        pa.schema([("event_type", pa.string()), ("rho", pa.int64())]),
+    ).to_pandas()  # ≤ types × 2^p rows — register-sized, never row-sized
     alpha = 0.7213 / (1 + 1.079 / m)
     types, counts = [], []
     for et, g in regs.groupby("event_type", sort=True):
@@ -875,63 +765,27 @@ def distinct_users_hll(sf_dir: str, precision_bits: int = 12) -> pa.Table:
     )
 
 
-def orders_without_lineitems(sf_dir: str, num_shards: int | None = None) -> Dataset:
+def orders_without_lineitems(sf_dir: str) -> Dataset:
     """Anti-join as a first-class relational query: orders with NO lineitem
     rows (the same distributed anti-join shape the seen-state refill uses,
     seen.py — here exposed over the driver tables with a SQL oracle).
 
-    Physical shape: tagged union hash-partitioned on ``hash(o_orderkey) %
-    P`` (the attach_payload pattern); the lineitem side is reduced to
-    per-batch UNIQUE orderkeys before the shuffle, so the exchange carries
+    Physical shape: one ``shard_join`` on orderkey; the lineitem side is
+    reduced to per-batch UNIQUE orderkeys first, so the exchange carries
     O(distinct keys per block), not O(lineitem rows); each shard then does
     one vectorized searchsorted membership test. No broadcast: both sides
     may be fact-table-sized."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    from spider_ray.blockutil import shard_join
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     line = _read(sf_dir, "lineitem", ["l_orderkey"])
 
-    def o_side(b: pd.DataFrame) -> pd.DataFrame:
-        key = b["o_orderkey"].to_numpy()
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(key) % num_shards).astype(np.int64),
-                "_t": np.zeros(len(key), dtype=np.int8),
-                "o_orderkey": key,
-                "o_orderpriority": b["o_orderpriority"].to_numpy(),
-            }
-        )
-
-    def l_side(b: pd.DataFrame) -> pd.DataFrame:
-        key = np.unique(b["l_orderkey"].to_numpy())  # per-batch combiner
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(key) % num_shards).astype(np.int64),
-                "_t": np.ones(len(key), dtype=np.int8),
-                "o_orderkey": key,
-                "o_orderpriority": np.full(len(key), "", dtype=object),
-            }
-        )
-
-    tagged = orders.map_batches(o_side, batch_format="pandas").union(
-        line.map_batches(l_side, batch_format="pandas")
-    )
-
-    def shard_anti(g: pd.DataFrame) -> pa.Table:
+    def shard_anti(o: pd.DataFrame, li: pd.DataFrame) -> pa.Table:
         # Arrow out with a pinned schema: an EMPTY pandas block with an
         # object column would make Ray's size estimator guess (stderr
         # noise) and could let the string type drift across shards.
-        t = g["_t"].to_numpy()
-        o = g.loc[t == 0]
-        lk = np.unique(g.loc[t == 1, "o_orderkey"].to_numpy())
         ok = o["o_orderkey"].to_numpy()
-        if len(lk):
-            pos = np.minimum(np.searchsorted(lk, ok), len(lk) - 1)
-            miss = lk[pos] != ok
-        else:
-            miss = np.ones(len(ok), dtype=bool)
+        miss = ~_isin_sorted(np.unique(li["o_orderkey"].to_numpy()), ok)
         return pa.table(
             {
                 "o_orderkey": pa.array(ok[miss], pa.int64()),
@@ -941,7 +795,17 @@ def orders_without_lineitems(sf_dir: str, num_shards: int | None = None) -> Data
             }
         )
 
-    return tagged.groupby("_s").map_groups(shard_anti, batch_format="pandas")
+    def line_keys(b: pa.Table) -> pa.Table:
+        key = np.unique(b.column("l_orderkey").to_numpy())  # per-batch combiner
+        return pa.table({"o_orderkey": pa.array(key, pa.int64())})
+
+    return shard_join(
+        orders,
+        line.map_batches(line_keys, batch_format="pyarrow"),
+        "o_orderkey",
+        shard_anti,
+        pa.schema([("o_orderkey", pa.int64()), ("o_orderpriority", pa.string())]),
+    )
 
 
 def doc_length_quantiles(
@@ -998,39 +862,20 @@ def doc_length_quantiles(
     return pa.table({nm: pa.array([out[nm]], pa.int64()) for nm in names})
 
 
-def sessionize(
-    sf_dir: str, gap_minutes: int = 30, num_partitions: int | None = None
-) -> Dataset:
+def sessionize(sf_dir: str, gap_minutes: int = 30) -> Dataset:
     """Session counts per user (streaming-shaped op per SURVEY.md §2.6 RD
     mapping): a new session begins when ts − prev_ts > gap.
 
-    Physical shape: hash-partition by ``hash(user_id) % P`` (every user's
-    rows land in exactly one partition), then ONE vectorized pass per
-    partition: lexsort by (user, ts), boundary masks via shifted compares,
-    per-user counts via ``np.add.reduceat``. The old per-USER
-    ``groupby.map_groups`` paid one Python interpreter call per user — 10^9
-    round-trips at the design point; this pays P. (The partition key is an
-    explicit int shard column + ``groupby(_shard)`` rather than
-    ``repartition(keys=...)``, which requires the HASH_SHUFFLE strategy —
-    measured 12× slower than the default sort shuffle in this environment;
-    sorting a P-valued int key is the cheap kind of sort shuffle.)"""
-    import ray as _ray
+    Physical shape: ``shard_exchange`` on user_id (every user's rows land
+    in exactly one call), then ONE vectorized pass per call: lexsort by
+    (user, ts), boundary masks via shifted compares, per-user counts via
+    ``np.add.reduceat``. A per-USER ``groupby.map_groups`` would pay one
+    Python interpreter call per user — 10^9 round-trips at the design
+    point; this pays one per shard."""
+    from spider_ray.blockutil import shard_exchange
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
     gap = np.int64(gap_minutes * 60 * 1_000_000)
-    if num_partitions is None:
-        num_partitions = max(8, int(_ray.cluster_resources().get("CPU", 4)))
-
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        # ts crosses the shuffle as int64 epoch-µs (see events_hourly for
-        # why no datetime column is allowed through a Ray sort shuffle)
-        h = pd.util.hash_array(b["user_id"].to_numpy()) % num_partitions
-        return b.assign(
-            _shard=h.astype(np.int64),
-            ts=b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64),
-        )
-
-    part = ds.map_batches(add_shard, batch_format="pandas")
 
     def shard_sessions(b: pd.DataFrame) -> pd.DataFrame:
         uid = b["user_id"].to_numpy()
@@ -1049,43 +894,38 @@ def sessionize(
             {"user_id": uid[run_idx], "n_sessions": np.add.reduceat(starts, run_idx)}
         )
 
-    # one vectorized call per SHARD (P calls total), never per user
-    return part.groupby("_shard").map_groups(shard_sessions, batch_format="pandas")
+    return shard_exchange(
+        ds.map_batches(_ts_as_us, batch_format="pyarrow"),
+        "user_id",
+        shard_sessions,
+        pa.schema([("user_id", pa.int64()), ("n_sessions", pa.int64())]),
+    )
 
 
-def _tagged_event_union(
-    sf_dir: str, left_type: str, right_type: str, num_shards: int
-) -> Dataset:
-    """ONE scan of events → tagged union keyed on ``hash(user_id) % P``.
+def _event_sides(sf_dir: str, left_type: str, right_type: str) -> Dataset:
+    """ONE scan of events → the rows of both sides of an events self-join.
 
     Shared physical shape of the as-of and range joins below: both join
     sides come from the same table, so a single pruned read emits both,
-    tagged with ``_side`` (1 = left/probe, 0 = right/build) and an int
-    shard key; the sort shuffle then co-locates every user's rows from
-    BOTH sides in exactly one partition. The exchange carries only rows of
-    the two filtered types — four int64 columns, no text/props payload."""
+    tagged with ``_side`` (1 = left/probe, 0 = right/build); a
+    ``shard_exchange`` on user_id then co-locates every user's rows from
+    BOTH sides in one call. The exchange carries only rows of the two
+    filtered types — four int64 columns, no text/props payload."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
 
     def tag(b: pa.Table) -> pd.DataFrame:
         et = b.column("event_type")
         keep = pc.or_(pc.equal(et, left_type), pc.equal(et, right_type))
         b = b.filter(keep)
-        uid = b.column("user_id").to_numpy()
         side = pc.equal(b.column("event_type"), left_type).to_numpy(
             zero_copy_only=False
         )
         return pd.DataFrame(
             {
-                "_s": (pd.util.hash_array(uid) % num_shards).astype(np.int64),
                 "_side": side.astype(np.int64),
                 "event_id": b.column("event_id").to_numpy(),
-                "user_id": uid,
-                # int64 epoch-µs across the shuffle (events_hourly rule: no
-                # datetime column through a Ray sort shuffle)
-                "ts": b.column("ts")
-                .to_numpy()
-                .astype("datetime64[us]")
-                .astype(np.int64),
+                "user_id": b.column("user_id").to_numpy(),
+                "ts": _us(b.column("ts")),
                 "value_c": np.round(b.column("value").to_numpy() * 100).astype(
                     np.int64
                 ),
@@ -1099,7 +939,6 @@ def asof_prev_event(
     sf_dir: str,
     left_type: str = "click",
     right_type: str = "view",
-    num_shards: int | None = None,
 ) -> Dataset:
     """AS-OF join (backward, strict): attach to each ``left_type`` event the
     integer-cents value of the same user's most recent STRICTLY-earlier
@@ -1107,25 +946,22 @@ def asof_prev_event(
     ``ASOF JOIN`` semantics with ``l.ts > r.ts``).
 
     Ray Data has no as-of join; this is the (a)-style composition from the
-    build brief: hash-partition both sides on the equality key (one tagged
-    union, ``_tagged_event_union``), then per shard ONE ``pd.merge_asof``
-    call — pandas' compiled backward-scan kernel, never a Python row loop.
-    Determinism: the right side is first reduced to max(value_c) per
-    (user, ts), so tied build timestamps cannot make the answer depend on
-    scan order (the SQL oracle applies the identical reduction).
+    build brief: co-locate both sides on the equality key (one scan,
+    ``_event_sides``, one ``shard_exchange``), then per shard ONE
+    ``pd.merge_asof`` call — pandas' compiled backward-scan kernel, never a
+    Python row loop. Determinism: the right side is first reduced to
+    max(value_c) per (user, ts), so tied build timestamps cannot make the
+    answer depend on scan order (the SQL oracle applies the identical
+    reduction).
 
-    Scale shape: the shuffle carries four int64 columns of the two filtered
-    types only; each shard's kernel is O(n log n) in ITS OWN rows. The
-    partitioning assumption is user-cardinality ≫ P (true at the 10^9-user
-    design point); a single pathological user concentrating the table in one
-    shard would need the salt-and-merge variant (salt the build side, probe
-    each salt — the documented seam, not built because merge_asof's
-    per-shard cost is already linear-ish)."""
-    from spider_ray.blockutil import default_shuffle_partitions
-
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
-    part = _tagged_event_union(sf_dir, left_type, right_type, num_shards)
+    Scale shape: the exchange carries four int64 columns of the two
+    filtered types only; each shard's kernel is O(n log n) in ITS OWN rows.
+    The partitioning assumption is user-cardinality ≫ shards (true at the
+    10^9-user design point); a single pathological user concentrating the
+    table in one shard would need the salt-and-merge variant (salt the
+    build side, probe each salt — the documented seam, not built because
+    merge_asof's per-shard cost is already linear-ish)."""
+    from spider_ray.blockutil import shard_exchange
 
     def shard_asof(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["_side"] == 1]
@@ -1148,7 +984,14 @@ def asof_prev_event(
             }
         )
 
-    return part.groupby("_s").map_groups(shard_asof, batch_format="pandas")
+    return shard_exchange(
+        _event_sides(sf_dir, left_type, right_type),
+        "user_id",
+        shard_asof,
+        pa.schema(
+            [("event_id", pa.int64()), ("user_id", pa.int64()), ("prev_value_c", pa.int64())]
+        ),
+    )
 
 
 def events_range_join(
@@ -1156,7 +999,6 @@ def events_range_join(
     left_type: str = "purchase",
     right_type: str = "view",
     window_minutes: int = 60,
-    num_shards: int | None = None,
 ) -> Dataset:
     """RANGE (band) join: for each ``left_type`` event, the count of the
     same user's ``right_type`` events inside the half-open window
@@ -1164,27 +1006,24 @@ def events_range_join(
     the non-equi interval join ``r.ts >= l.ts - W AND r.ts < l.ts`` on top
     of the user equality key.
 
-    Physical shape: the same one-scan tagged union + user-hash shuffle as
-    ``asof_prev_event``, then per shard the window count is computed as a
-    DIFFERENCE OF TWO AS-OF LOOKUPS over the build side's per-user
-    cumulative counter: matches(l) = |r.ts < l.ts| − |r.ts < l.ts − W| —
-    two ``pd.merge_asof`` calls per shard instead of any per-row interval
-    scan, so a hot window cannot degrade to quadratic the way a naive
-    banded nested loop does. Tied build timestamps are handled by the
-    stable (user, ts) sort: the last tie carries the max cumulative count,
-    which is exactly |r.ts ≤ t|.
+    Physical shape: the same one-scan ``_event_sides`` + user_id
+    ``shard_exchange`` as ``asof_prev_event``, then per shard the window
+    count is computed as a DIFFERENCE OF TWO AS-OF LOOKUPS over the build
+    side's per-user cumulative counter: matches(l) = |r.ts < l.ts| − |r.ts
+    < l.ts − W| — two ``pd.merge_asof`` calls per shard instead of any
+    per-row interval scan, so a hot window cannot degrade to quadratic the
+    way a naive banded nested loop does. Tied build timestamps are handled
+    by the stable (user, ts) sort: the last tie carries the max cumulative
+    count, which is exactly |r.ts ≤ t|.
 
     Scale: identical exchange and partitioning contract as the as-of join
     (int64 metadata only, one shard per user). For a keyless/global band
     join the seam is time-bucket partitioning with ±1-bucket replication of
     the build side — not built because every reference- and brief-named use
     is keyed."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    from spider_ray.blockutil import shard_exchange
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     gap = np.int64(window_minutes * 60 * 1_000_000)
-    part = _tagged_event_union(sf_dir, left_type, right_type, num_shards)
 
     def shard_window_count(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["_side"] == 1]
@@ -1219,7 +1058,14 @@ def events_range_join(
             }
         )
 
-    return part.groupby("_s").map_groups(shard_window_count, batch_format="pandas")
+    return shard_exchange(
+        _event_sides(sf_dir, left_type, right_type),
+        "user_id",
+        shard_window_count,
+        pa.schema(
+            [("event_id", pa.int64()), ("user_id", pa.int64()), ("n_in_window", pa.int64())]
+        ),
+    )
 
 
 def _disc_quantile_ranks(
@@ -1295,50 +1141,20 @@ def length_quantiles_by_source(
     return pa.table(cols)
 
 
-def user_running_total(
-    sf_dir: str, event_type: str = "purchase", num_shards: int | None = None
-) -> Dataset:
+def user_running_total(sf_dir: str, event_type: str = "purchase") -> Dataset:
     """Per-key ordered WINDOW function: the running integer-cents total of
     each user's ``event_type`` events, ordered by (ts, event_id) — SQL's
     ``SUM(value) OVER (PARTITION BY user_id ORDER BY ts, event_id)``.
 
     Ray Data has no window functions; the composition is the sessionize
-    shape: filter at the read, hash-partition on ``hash(user_id) % P``
-    (every user's rows in exactly one shard), then ONE vectorized pass per
-    shard — lexsort by (user, ts, event_id), global cumsum, and a
-    per-group rebase via ``np.repeat`` of the cumsum at group starts. No
-    per-user Python call, no per-row loop; the exchange carries four int64
-    columns of the single filtered type. Output is row-sized by contract
-    (a window function returns one row per input row) — it streams back
-    out, never collects."""
-    import ray as _ray
-
-    from spider_ray.blockutil import default_shuffle_partitions
-
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
-
-    def tag(b: pa.Table) -> pd.DataFrame:
-        b = b.filter(pc.equal(b.column("event_type"), event_type))
-        uid = b.column("user_id").to_numpy()
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(uid) % num_shards).astype(np.int64),
-                "event_id": b.column("event_id").to_numpy(),
-                "user_id": uid,
-                # int64 epoch-µs across the shuffle (events_hourly rule)
-                "ts": b.column("ts")
-                .to_numpy()
-                .astype("datetime64[us]")
-                .astype(np.int64),
-                "value_c": np.round(b.column("value").to_numpy() * 100).astype(
-                    np.int64
-                ),
-            }
-        )
-
-    part = ds.map_batches(tag, batch_format="pyarrow")
+    shape: filter at the read, ``shard_exchange`` on user_id (every user's
+    rows in one call), then ONE vectorized pass per shard — lexsort by
+    (user, ts, event_id), global cumsum, and a per-group rebase via
+    ``np.repeat`` of the cumsum at group starts. No per-user Python call,
+    no per-row loop; the exchange carries four int64 columns of the single
+    filtered type. Output is row-sized by contract (a window function
+    returns one row per input row) — it streams back out, never collects."""
+    from spider_ray.blockutil import shard_exchange
 
     def shard_running(g: pd.DataFrame) -> pd.DataFrame:
         uid = g["user_id"].to_numpy()
@@ -1361,7 +1177,33 @@ def user_running_total(
             {"event_id": eid, "user_id": uid, "running_c": cum - base}
         )
 
-    return part.groupby("_s").map_groups(shard_running, batch_format="pandas")
+    return shard_exchange(
+        _typed_events(sf_dir, event_type),
+        "user_id",
+        shard_running,
+        pa.schema(
+            [("event_id", pa.int64()), ("user_id", pa.int64()), ("running_c", pa.int64())]
+        ),
+    )
+
+
+def _typed_events(sf_dir: str, event_type: str) -> Dataset:
+    """(event_id, user_id, ts µs, value_c) of one event type, filtered at
+    the read — the input of the per-user window functions."""
+    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
+
+    def rows(b: pa.Table) -> pd.DataFrame:
+        b = b.filter(pc.equal(b.column("event_type"), event_type))
+        return pd.DataFrame(
+            {
+                "event_id": b.column("event_id").to_numpy(),
+                "user_id": b.column("user_id").to_numpy(),
+                "ts": _us(b.column("ts")),
+                "value_c": np.round(b.column("value").to_numpy() * 100).astype(np.int64),
+            }
+        )
+
+    return ds.map_batches(rows, batch_format="pyarrow")
 
 
 # named group for pyarrow (extract_regex requires one); the SQL oracle uses
@@ -1425,40 +1267,30 @@ def props_extract_stats(sf_dir: str) -> Dataset:
     )
 
 
-def user_event_gaps(sf_dir: str, num_shards: int | None = None) -> Dataset:
+def user_event_gaps(sf_dir: str) -> Dataset:
     """LAG-diff window aggregate: per user, the count / sum / max of the
     inter-event time gaps (µs) between consecutive events ordered by ts —
     SQL's ``ts - LAG(ts) OVER (PARTITION BY user_id ORDER BY ts)`` folded
     into a per-user aggregate. Users with fewer than two events drop (they
     have no gaps), matching the oracle's ``WHERE g IS NOT NULL``.
 
-    Physical shape: the sessionize composition — user-hash int shard key,
-    one sort shuffle of (user_id, ts) int64 pairs, then ONE vectorized pass
-    per shard (lexsort, shifted same-user compare, ``reduceat`` per-user
+    Physical shape: the sessionize composition — one ``shard_exchange`` of
+    (user_id, ts) int64 pairs on user_id, then ONE vectorized pass per
+    shard (lexsort, shifted same-user compare, ``reduceat`` per-user
     count/sum/max). Determinism under tied timestamps: the gap multiset of
     a sorted sequence depends only on the ts multiset, so every aggregate
     here is tie-order-invariant on both engines."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    from spider_ray.blockutil import shard_exchange
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def tag(b: pa.Table) -> pd.DataFrame:
-        uid = b.column("user_id").to_numpy()
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(uid) % num_shards).astype(np.int64),
-                "user_id": uid,
-                # int64 epoch-µs across the shuffle (events_hourly rule)
-                "ts": b.column("ts")
-                .to_numpy()
-                .astype("datetime64[us]")
-                .astype(np.int64),
-            }
-        )
-
-    part = ds.map_batches(tag, batch_format="pyarrow")
+    schema = pa.schema(
+        [
+            ("user_id", pa.int64()),
+            ("n_gaps", pa.int64()),
+            ("sum_gap_us", pa.int64()),
+            ("max_gap_us", pa.int64()),
+        ]
+    )
 
     def shard_gaps(g: pd.DataFrame) -> pa.Table:
         uid = g["user_id"].to_numpy()
@@ -1469,14 +1301,7 @@ def user_event_gaps(sf_dir: str, num_shards: int | None = None) -> Dataset:
         gaps = (ts[1:] - ts[:-1])[same]
         guid = uid[1:][same]  # sorted (subsequence of the sorted uid)
         if not len(guid):
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "n_gaps": pa.array([], pa.int64()),
-                    "sum_gap_us": pa.array([], pa.int64()),
-                    "max_gap_us": pa.array([], pa.int64()),
-                }
-            )
+            return schema.empty_table()
         starts = np.flatnonzero(np.r_[True, guid[1:] != guid[:-1]])
         return pa.table(
             {
@@ -1487,12 +1312,14 @@ def user_event_gaps(sf_dir: str, num_shards: int | None = None) -> Dataset:
             }
         )
 
-    # one vectorized call per SHARD; every user lives in exactly one shard,
-    # so the per-shard aggregates are already globally final
-    return part.groupby("_s").map_groups(shard_gaps, batch_format="pandas")
+    # every user lives in exactly one shard, so the per-shard aggregates
+    # are already globally final
+    return shard_exchange(
+        ds.map_batches(_ts_as_us, batch_format="pyarrow"), "user_id", shard_gaps, schema
+    )
 
 
-def event_type_transitions(sf_dir: str, num_shards: int | None = None) -> Dataset:
+def event_type_transitions(sf_dir: str) -> Dataset:
     """Sequence bigram counts: how often event type A is IMMEDIATELY
     followed by type B within one user's timeline (the Markov transition
     table behind funnel / next-action analyses). Each user's first event
@@ -1503,32 +1330,13 @@ def event_type_transitions(sf_dir: str, num_shards: int | None = None) -> Datase
     does depend on tie order, so both engines order by (ts, event_id) —
     the registry SQL uses the same two-key window ORDER BY.
 
-    Physical shape: user-hash shard shuffle carrying (user, ts, event_id,
-    type); per shard one lexsort + shifted compare builds the pairs and a
-    vectorized groupby emits ≤ types² partial rows; a metadata-sized
-    groupby sums shard partials."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    Physical shape: ``shard_exchange`` on user_id carrying (user, ts,
+    event_id, type); per shard one lexsort + shifted compare builds the
+    pairs and a vectorized groupby emits ≤ types² partial rows; a
+    metadata-sized merge sums shard partials."""
+    from spider_ray.blockutil import merge_keyed_sums, shard_exchange
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-
-    def tag(b: pa.Table) -> pd.DataFrame:
-        uid = b.column("user_id").to_numpy()
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(uid) % num_shards).astype(np.int64),
-                "event_id": b.column("event_id").to_numpy(),
-                "user_id": uid,
-                "ts": b.column("ts")
-                .to_numpy()
-                .astype("datetime64[us]")
-                .astype(np.int64),
-                "event_type": b.column("event_type").to_pandas().to_numpy(),
-            }
-        )
-
-    part = ds.map_batches(tag, batch_format="pyarrow")
 
     def shard_transitions(g: pd.DataFrame) -> pa.Table:
         uid = g["user_id"].to_numpy()
@@ -1555,55 +1363,38 @@ def event_type_transitions(sf_dir: str, num_shards: int | None = None) -> Datase
             }
         )
 
-    from spider_ray.blockutil import merge_keyed_sums
-
-    partials = part.groupby("_s").map_groups(shard_transitions, batch_format="pandas")
+    schema = pa.schema(
+        [("prev_type", pa.string()), ("event_type", pa.string()), ("n", pa.int64())]
+    )
+    partials = shard_exchange(
+        ds.map_batches(_ts_as_us, batch_format="pyarrow"),
+        "user_id",
+        shard_transitions,
+        schema,
+    )
     return merge_keyed_sums(
-        partials,
-        keys=["prev_type", "event_type"],
-        sums=["n"],
-        empty_schema=pa.schema(
-            [
-                ("prev_type", pa.string()),
-                ("event_type", pa.string()),
-                ("n", pa.int64()),
-            ]
-        ),
+        partials, keys=["prev_type", "event_type"], sums=["n"], empty_schema=schema
     )
 
 
-def order_lineitem_counts(sf_dir: str, num_shards: int | None = None) -> Dataset:
+def order_lineitem_counts(sf_dir: str) -> Dataset:
     """LEFT OUTER join of two fact tables with zero-fill: every order with
     the count and integer-cents quantity sum of its lineitems — 0/0 for
     orders with none (the complement of ``orders_without_lineitems``'
     anti-join; together they cover the outer-join family the inner-join q3
     does not).
 
-    Physical shape: tagged union hash-partitioned on ``hash(o_orderkey) %
-    P``; the lineitem side is PARTIAL-aggregated per batch (sort +
-    ``reduceat`` count/sum per key — the q3 combiner), so the exchange
-    carries one row per (orderkey, block) on the big side; each shard
-    re-reduces its partials and probes them from the orders side with one
-    ``searchsorted``, emitting zero-filled misses. Output is row-sized by
-    contract (one row per order) and streams — never collected."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    Physical shape: one ``shard_join`` on orderkey; the lineitem side is
+    PARTIAL-aggregated per batch (sort + ``reduceat`` count/sum per key —
+    the q3 combiner), so the exchange carries one row per (orderkey, block)
+    on the big side; each shard re-reduces its partials and probes them
+    from the orders side with one ``searchsorted``, emitting zero-filled
+    misses. Output is row-sized by contract (one row per order) and
+    streams — never collected."""
+    from spider_ray.blockutil import shard_join
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     orders = _read(sf_dir, "orders", ["o_orderkey"])
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-
-    def o_side(b: pa.Table) -> pd.DataFrame:
-        key = b.column("o_orderkey").to_numpy()
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(key) % num_shards).astype(np.int64),
-                "_t": np.zeros(len(key), dtype=np.int8),
-                "o_orderkey": key,
-                "n_items": np.zeros(len(key), dtype=np.int64),
-                "sum_qty_c": np.zeros(len(key), dtype=np.int64),
-            }
-        )
 
     def l_side(b: pa.Table) -> pd.DataFrame:
         key = b.column("l_orderkey").to_numpy()
@@ -1615,24 +1406,14 @@ def order_lineitem_counts(sf_dir: str, num_shards: int | None = None) -> Dataset
         n = np.diff(np.append(starts, len(key)))
         return pd.DataFrame(
             {
-                "_s": (
-                    pd.util.hash_array(key[starts]) % num_shards
-                ).astype(np.int64),
-                "_t": np.ones(len(starts), dtype=np.int8),
                 "o_orderkey": key[starts],
                 "n_items": n.astype(np.int64),
                 "sum_qty_c": np.add.reduceat(qty, starts),
             }
         )
 
-    tagged = orders.map_batches(o_side, batch_format="pyarrow").union(
-        line.map_batches(l_side, batch_format="pyarrow")
-    )
-
-    def shard_left(g: pd.DataFrame) -> pa.Table:
-        t = g["_t"].to_numpy()
-        ok = g.loc[t == 0, "o_orderkey"].to_numpy()
-        li = g.loc[t == 1]
+    def shard_left(o: pd.DataFrame, li: pd.DataFrame) -> pa.Table:
+        ok = o["o_orderkey"].to_numpy()
         lk = li["o_orderkey"].to_numpy()
         n_items = np.zeros(len(ok), dtype=np.int64)
         sum_qty = np.zeros(len(ok), dtype=np.int64)
@@ -1657,7 +1438,15 @@ def order_lineitem_counts(sf_dir: str, num_shards: int | None = None) -> Dataset
             }
         )
 
-    return tagged.groupby("_s").map_groups(shard_left, batch_format="pandas")
+    return shard_join(
+        orders,
+        line.map_batches(l_side, batch_format="pyarrow"),
+        "o_orderkey",
+        shard_left,
+        pa.schema(
+            [("o_orderkey", pa.int64()), ("n_items", pa.int64()), ("sum_qty_c", pa.int64())]
+        ),
+    )
 
 
 # the events generator's closed type vocabulary (TESTDATA.md); a type
@@ -1676,14 +1465,15 @@ def events_type_pivot(
 
     Physical shape: per batch, one vectorized ``pc.equal``+cast per type
     builds 0/1 indicator columns and an Arrow group_by reduces them to
-    per-(user, block) partials; one groupby then sums the partials. The
-    exchange carries O(users × blocks) rows of ``len(types)`` int64s —
-    the q1 combiner contract, never one row per event. An UNKNOWN-vocab
-    pivot would need a distinct-types pass first (the two-phase seam);
-    every named use here has a closed vocabulary."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    per-(user, block) partials; one ``shard_exchange`` on user_id then sums
+    the partials (one vectorized sort+reduceat per shard, no user-grain
+    sort-aggregate). The exchange carries O(users × blocks) rows of
+    ``len(types)`` int64s — the q1 combiner contract, never one row per
+    event; the output stays distributed (it is user-sized). An
+    UNKNOWN-vocab pivot would need a distinct-types pass first (the
+    two-phase seam); every named use here has a closed vocabulary."""
+    from spider_ray.blockutil import shard_exchange
 
-    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
     names = [f"n_{t}" for t in types]
 
@@ -1698,18 +1488,11 @@ def events_type_pivot(
             [(nm, "sum") for nm in names]
         )
         # by-name selection — see source_counts for why not rename_columns
-        uid = g.column("user_id").to_numpy()
-        out = {
-            "_s": pa.array((pd.util.hash_array(uid) % num_shards).astype(np.int64)),
-            "user_id": g.column("user_id"),
-        }
+        out = {"user_id": g.column("user_id")}
         for nm in names:
             out[nm] = g.column(f"{nm}_sum")
         return pa.table(out)
 
-    # INT-SHARD groupby: users co-located by hash, one vectorized
-    # sort+reduceat per shard — replaces the user-grain sort-aggregate
-    # (the q18 shape); output stays distributed (it is user-sized)
     def shard_pivot(g: pd.DataFrame) -> pa.Table:
         uid = g["user_id"].to_numpy()
         order = np.argsort(uid, kind="stable")
@@ -1722,10 +1505,11 @@ def events_type_pivot(
             )
         return pa.table(out)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_s")
-        .map_groups(shard_pivot, batch_format="pandas")
+    return shard_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "user_id",
+        shard_pivot,
+        pa.schema([("user_id", pa.int64())] + [(nm, pa.int64()) for nm in names]),
     )
 
 
@@ -1805,35 +1589,31 @@ def q5_revenue_by_nation(
     sf_dir: str,
     date_lo: str = "1997-01-01",
     date_hi: str = "1999-01-01",
-    num_shards: int | None = None,
 ) -> Dataset:
     """TPC-H-Q5-shaped multi-way join: lineitem revenue per nation where the
     ordering customer and the line's supplier sit in the SAME nation, over a
     two-year order-date window — the widest join chain in the surface
     (customer ⋈ orders ⋈ lineitem ⋈ supplier ⋈ nation).
 
-    Physical plan (one fact⋈fact shuffle, everything else broadcast):
+    Physical plan (one fact⋈fact exchange, everything else broadcast):
     - supplier→nationkey, customer→nationkey and nationkey→name are
       DIMENSION lookups, shipped once via ``ray.put`` as sorted parallel
       numpy arrays (the orders_by_segment pattern). customer is the one
       that grows with the fact tables; at a truly fact-sized customer the
       q3 ``broadcast_customer=False`` semi-join shape applies unchanged
       (demonstrated there, not duplicated here).
-    - orders ⋈ lineitem is the q3 tagged-union hash shuffle on
-      ``hash(o_orderkey) % P``. The lineitem side PARTIAL-aggregates
-      revenue per (orderkey, supplier-nation) inside each batch before the
-      exchange — the shuffle carries one row per (orderkey, s_nat, block),
-      never one per lineitem.
+    - orders ⋈ lineitem is the q3 ``shard_join`` on orderkey. The lineitem
+      side PARTIAL-aggregates revenue per (orderkey, supplier-nation)
+      inside each batch before the exchange — it carries one row per
+      (orderkey, s_nat, block), never one per lineitem.
     - each shard probes orders' (orderkey → customer-nation) with one
       searchsorted, keeps rows where the nations match, and emits per-nation
-      revenue partials; the final exchange is nation-sized (≤25 rows × P).
+      revenue partials; the final merge is nation-sized (≤25 rows a shard).
 
     Revenue uses the q1 integer contract (``cents(extprice) × (100 −
     cents(discount))``) so partial sums match DuckDB bit-exactly."""
-    from spider_ray.blockutil import default_shuffle_partitions, final_merge
+    from spider_ray.blockutil import final_merge, shard_join
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     lo_us = np.int64(np.datetime64(date_lo, "us").astype(np.int64))
     hi_us = np.int64(np.datetime64(date_hi, "us").astype(np.int64))
 
@@ -1866,20 +1646,12 @@ def q5_revenue_by_nation(
         from spider_ray.stages.broadcast import get_broadcast
 
         ck, cv = get_broadcast(cust_ref)
-        dt = b.column("o_orderdate").to_numpy().astype("datetime64[us]").astype(np.int64)
+        dt = _us(b.column("o_orderdate"))
         keep = (dt >= lo_us) & (dt < hi_us)
         key = b.column("o_orderkey").to_numpy()[keep]
         c_nat = _probe(ck, cv, b.column("o_custkey").to_numpy()[keep])
         ok = c_nat >= 0
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(key[ok]) % num_shards).astype(np.int64),
-                "_t": np.zeros(int(ok.sum()), dtype=np.int8),
-                "o_orderkey": key[ok],
-                "nat": c_nat[ok],
-                "revenue_c4": np.zeros(int(ok.sum()), dtype=np.int64),
-            }
-        )
+        return pd.DataFrame({"o_orderkey": key[ok], "o_nat": c_nat[ok]})
 
     def line_side(b: pa.Table) -> pd.DataFrame:
         from spider_ray.stages.broadcast import get_broadcast
@@ -1892,45 +1664,25 @@ def q5_revenue_by_nation(
         )
         ok = s_nat >= 0
         key, s_nat, rev = key[ok], s_nat[ok], rev[ok]
-        if not len(key):  # filter can empty a batch; reduceat needs rows
-            return pd.DataFrame(
-                {
-                    "_s": np.array([], dtype=np.int64),
-                    "_t": np.array([], dtype=np.int8),
-                    "o_orderkey": np.array([], dtype=np.int64),
-                    "nat": np.array([], dtype=np.int64),
-                    "revenue_c4": np.array([], dtype=np.int64),
-                }
-            )
         # per-batch PARTIAL per (orderkey, s_nat) — the q1 combiner pattern
         order = np.lexsort((s_nat, key))
         key, s_nat, rev = key[order], s_nat[order], rev[order]
         new = np.r_[True, (key[1:] != key[:-1]) | (s_nat[1:] != s_nat[:-1])]
-        starts = np.flatnonzero(new)
+        starts = np.flatnonzero(new[: len(key)])
         return pd.DataFrame(
             {
-                "_s": (pd.util.hash_array(key[starts]) % num_shards).astype(np.int64),
-                "_t": np.ones(len(starts), dtype=np.int8),
                 "o_orderkey": key[starts],
                 "nat": s_nat[starts],
-                "revenue_c4": np.add.reduceat(rev, starts),
+                "revenue_c4": np.add.reduceat(rev, starts) if len(key) else rev,
             }
         )
 
-    tagged = orders.map_batches(orders_side, batch_format="pyarrow").union(
-        line.map_batches(line_side, batch_format="pyarrow")
-    )
-
-    def shard_join(g: pd.DataFrame) -> pa.Table:
-        t = g["_t"].to_numpy()
-        o = g.loc[t == 0]
+    def shard_join_nat(o: pd.DataFrame, li: pd.DataFrame) -> pa.Table:
         ok = o["o_orderkey"].to_numpy()
-        oc = o["nat"].to_numpy()
+        oc = o["o_nat"].to_numpy()
         order = np.argsort(ok, kind="stable")
         ok, oc = ok[order], oc[order]
-        li = g.loc[t == 1]
-        lk = li["o_orderkey"].to_numpy()
-        c_nat = _probe(ok, oc, lk)
+        c_nat = _probe(ok, oc, li["o_orderkey"].to_numpy())
         hit = c_nat == li["nat"].to_numpy()
         nat = li["nat"].to_numpy()[hit]
         rev = li["revenue_c4"].to_numpy()[hit]
@@ -1947,10 +1699,16 @@ def q5_revenue_by_nation(
             }
         )
 
-    per_nat = tagged.groupby("_s").map_groups(shard_join, batch_format="pandas")
+    per_nat = shard_join(
+        orders.map_batches(orders_side, batch_format="pyarrow"),
+        line.map_batches(line_side, batch_format="pyarrow"),
+        "o_orderkey",
+        shard_join_nat,
+        pa.schema([("nat", pa.int64()), ("revenue_c4", pa.int64())]),
+    )
 
-    # Final reduce: shard_join already emits per-nation partials (≤25 rows ×
-    # P shards), so the finish is ANSWER-sized — final_merge's single task
+    # Final reduce: the shards already emit per-nation partials (≤25 rows
+    # each), so the finish is ANSWER-sized — final_merge's single task
     # replaces a second sort-based groupby all-to-all (measured ~2.5 s of
     # the 7.3 s wall at sf0.1 for 800 rows). Nation names (≤25 by contract)
     # ride the closure; the merge keys on n_name so a second application is
@@ -1980,21 +1738,19 @@ def q5_revenue_by_nation(
     )
 
 
-def latest_event_per_user(sf_dir: str, num_shards: int | None = None) -> Dataset:
+def latest_event_per_user(sf_dir: str) -> Dataset:
     """ARGMAX-per-group: each user's most recent event (tie-break: larger
     event_id), the per-entity-state extraction every incremental pipeline
     needs ("current session", "last seen", "latest profile").
 
     Physical shape: per-batch PARTIAL argmax (one lexsort + last-per-key
-    slice — the shuffle carries one candidate row per (user, block), never
-    one per event), then a hash-shard groupby on user where the same
-    vectorized reduce picks the global winner. Timestamps cross the shuffle
-    as int64 epoch-µs (the events_hourly contract) and come back as
-    timestamp[us] at the end."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    slice — the exchange carries one candidate row per (user, block), never
+    one per event), then a ``shard_exchange`` on user where the same
+    vectorized reduce picks the global winner. Timestamps cross the
+    exchange as int64 epoch-µs (the events_hourly contract) and come back
+    as timestamp[us] at the end."""
+    from spider_ray.blockutil import shard_exchange
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def _argmax_rows(user, ts, eid, etype):
@@ -2008,21 +1764,14 @@ def latest_event_per_user(sf_dir: str, num_shards: int | None = None) -> Dataset
         return user[last], ts[last], eid[last], etype[last]
 
     def partial(b: pa.Table) -> pd.DataFrame:
-        ts = b.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
         user, ts, eid, etype = _argmax_rows(
             b.column("user_id").to_numpy(),
-            ts,
+            _us(b.column("ts")),
             b.column("event_id").to_numpy(),
             np.asarray(b.column("event_type").to_pylist(), dtype=object),
         )
         return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(user) % num_shards).astype(np.int64),
-                "user_id": user,
-                "ts_us": ts,
-                "event_id": eid,
-                "event_type": etype,
-            }
+            {"user_id": user, "ts_us": ts, "event_id": eid, "event_type": etype}
         )
 
     def shard_final(g: pd.DataFrame) -> pa.Table:
@@ -2041,10 +1790,18 @@ def latest_event_per_user(sf_dir: str, num_shards: int | None = None) -> Dataset
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_s")
-        .map_groups(shard_final, batch_format="pandas")
+    return shard_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "user_id",
+        shard_final,
+        pa.schema(
+            [
+                ("user_id", pa.int64()),
+                ("ts", pa.timestamp("us")),
+                ("event_id", pa.int64()),
+                ("event_type", pa.string()),
+            ]
+        ),
     )
 
 
@@ -2101,13 +1858,13 @@ def repeat_buyers(sf_dir: str) -> Dataset:
 
     Physical shape: each batch reduces to at most one (user, has_click,
     has_purchase) flag row per user seen in the batch (arrow group_by max);
-    the INT-SHARD groupby co-locates each user, so one vectorized
-    maximum.reduceat per shard ORs the flags AND applies the both-flags
-    filter locally — rows shuffled = O(users × blocks) flag rows, shard
-    output already answer-sized (no user-grain sort-aggregate)."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    the ``shard_exchange`` on user_id co-locates each user, so one
+    vectorized maximum.reduceat per shard ORs the flags AND applies the
+    both-flags filter locally — rows exchanged = O(users × blocks) flag
+    rows, shard output already answer-sized (no user-grain
+    sort-aggregate)."""
+    from spider_ray.blockutil import shard_exchange
 
-    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2125,12 +1882,8 @@ def repeat_buyers(sf_dir: str) -> Dataset:
         g = flags.group_by("user_id").aggregate(
             [("has_click", "max"), ("has_purchase", "max")]
         )
-        uid = g.column("user_id").to_numpy()
         return pa.table(
             {
-                "_s": pa.array(
-                    (pd.util.hash_array(uid) % num_shards).astype(np.int64)
-                ),
                 "user_id": g.column("user_id"),
                 "has_click": g.column("has_click_max"),
                 "has_purchase": g.column("has_purchase_max"),
@@ -2147,10 +1900,11 @@ def repeat_buyers(sf_dir: str) -> Dataset:
         keep = (hc == 1) & (hp == 1)
         return pa.table({"user_id": pa.array(uid[starts][keep], pa.int64())})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_s")
-        .map_groups(shard_both, batch_format="pandas")
+    return shard_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "user_id",
+        shard_both,
+        pa.schema([("user_id", pa.int64())]),
     )
 
 
@@ -2213,7 +1967,6 @@ def high_value_lineitem_stats(
     min_total_cents: int = 45_000_000,  # $450,000.00 in integer cents
     bloom_bits: int = 1 << 22,
     n_hashes: int = 4,
-    num_shards: int | None = None,
 ) -> Dataset:
     """BLOOM-prefiltered exact semi-join: lineitem stats (count + base-price
     cents per returnflag) restricted to high-value orders. The scale
@@ -2221,8 +1974,8 @@ def high_value_lineitem_stats(
     broadcast exactly but its BLOOM is cheap (~1.2 bits/key at these
     parameters vs 64 bits/key for the sorted-array broadcast), probe the
     fact table against the bloom FIRST so only survivors (true matches + a
-    tunable false-positive sliver) enter the exact shuffle semi-join — the
-    exchange shrinks from every lineitem to ~the answer.
+    tunable false-positive sliver) enter the exact ``shard_join`` semi-join
+    — the exchange shrinks from every lineitem to ~the answer.
 
     Build: each orders batch emits its bloom bit positions (uint32-sized
     ints, ≈ n_hashes × matching keys per batch); the driver ORs them into
@@ -2230,11 +1983,9 @@ def high_value_lineitem_stats(
     the positions stream becomes a tree-OR of per-block masks instead —
     documented seam, same contract. Exactness does NOT depend on the bloom:
     every survivor is re-verified against the true key set in the shard
-    semi-join below, so false positives cost only shuffle bytes."""
-    from spider_ray.blockutil import default_shuffle_partitions, final_merge
+    semi-join below, so false positives cost only exchange bytes."""
+    from spider_ray.blockutil import final_merge, shard_join
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     thresh = np.int64(min_total_cents)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
@@ -2271,17 +2022,6 @@ def high_value_lineitem_stats(
             (packed[pos >> 3] & (np.uint8(0x80) >> (pos & 7).astype(np.uint8))) != 0
         ).all(axis=1)
         key = key[hit]
-        if not len(key):  # bloom can empty a batch; reduceat needs rows
-            return pd.DataFrame(
-                {
-                    "_s": np.array([], dtype=np.int64),
-                    "_t": np.array([], dtype=np.int8),
-                    "o_orderkey": np.array([], dtype=np.int64),
-                    "l_returnflag": np.array([], dtype=object),
-                    "n_items": np.array([], dtype=np.int64),
-                    "sum_base_c": np.array([], dtype=np.int64),
-                }
-            )
         flag = np.asarray(b.column("l_returnflag").to_pylist(), dtype=object)[hit]
         base = _cents(b.column("l_extendedprice").to_numpy())[hit]
         # partial per (orderkey, flag) before the exchange
@@ -2289,52 +2029,20 @@ def high_value_lineitem_stats(
         order = np.lexsort((fcode, key))
         key, fcode, base = key[order], fcode[order], base[order]
         starts = np.flatnonzero(
-            np.r_[True, (key[1:] != key[:-1]) | (fcode[1:] != fcode[:-1])]
+            np.r_[True, (key[1:] != key[:-1]) | (fcode[1:] != fcode[:-1])][: len(key)]
         )
         return pd.DataFrame(
             {
-                "_s": (pd.util.hash_array(key[starts]) % num_shards).astype(np.int64),
-                "_t": np.ones(len(starts), dtype=np.int8),
                 "o_orderkey": key[starts],
-                "l_returnflag": np.take(fvals, fcode[starts])
-                if len(starts)
-                else np.array([], dtype=object),
+                "l_returnflag": np.take(fvals, fcode[starts]).astype(object),
                 "n_items": np.diff(np.append(starts, len(key))).astype(np.int64),
-                "sum_base_c": np.add.reduceat(base, starts)
-                if len(key)
-                else np.array([], dtype=np.int64),
+                "sum_base_c": np.add.reduceat(base, starts) if len(key) else base,
             }
         )
 
-    def keys_side(b: pa.Table) -> pd.DataFrame:
-        key = b.column("o_orderkey").to_numpy()
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(key) % num_shards).astype(np.int64),
-                "_t": np.zeros(len(key), dtype=np.int8),
-                "o_orderkey": key,
-                "l_returnflag": np.array([""] * len(key), dtype=object),
-                "n_items": np.zeros(len(key), dtype=np.int64),
-                "sum_base_c": np.zeros(len(key), dtype=np.int64),
-            }
-        )
-
-    tagged = keys_ds.map_batches(keys_side, batch_format="pyarrow").union(
-        line.map_batches(line_side, batch_format="pyarrow")
-    )
-
-    def shard_verify(g: pd.DataFrame) -> pa.Table:
-        t = g["_t"].to_numpy()
-        ok = np.sort(g.loc[t == 0, "o_orderkey"].to_numpy())
-        li = g.loc[t == 1]
-        lk = li["o_orderkey"].to_numpy()
-        if len(ok):
-            pos = np.minimum(np.searchsorted(ok, lk), len(ok) - 1)
-            hit = ok[pos] == lk
-        else:
-            hit = np.zeros(len(lk), dtype=bool)
-        sub = li.loc[hit]
-        agg = sub.groupby("l_returnflag", as_index=False)[
+    def shard_verify(o: pd.DataFrame, li: pd.DataFrame) -> pa.Table:
+        hit = _isin_sorted(np.sort(o["o_orderkey"].to_numpy()), li["o_orderkey"].to_numpy())
+        agg = li.loc[hit].groupby("l_returnflag", as_index=False)[
             ["n_items", "sum_base_c"]
         ].sum()
         return pa.table(
@@ -2345,7 +2053,16 @@ def high_value_lineitem_stats(
             }
         )
 
-    per_flag = tagged.groupby("_s").map_groups(shard_verify, batch_format="pandas")
+    schema = pa.schema(
+        [("l_returnflag", pa.string()), ("n_items", pa.int64()), ("sum_base_c", pa.int64())]
+    )
+    per_flag = shard_join(
+        keys_ds,
+        line.map_batches(line_side, batch_format="pyarrow"),
+        "o_orderkey",
+        shard_verify,
+        schema,
+    )
 
     # shard_verify already reduced to ≤|flags| rows per shard — finish with
     # final_merge's single answer-sized task instead of a second sort-based
@@ -2356,17 +2073,7 @@ def high_value_lineitem_stats(
             ["n_items", "sum_base_c"]
         ].sum()
 
-    return final_merge(
-        per_flag,
-        merge_flags,
-        pa.schema(
-            [
-                ("l_returnflag", pa.string()),
-                ("n_items", pa.int64()),
-                ("sum_base_c", pa.int64()),
-            ]
-        ),
-    )
+    return final_merge(per_flag, merge_flags, schema)
 
 
 def doc_length_ranks(sf_dir: str) -> Dataset:
@@ -2550,9 +2257,7 @@ def event_value_stats(sf_dir: str) -> Dataset:
     )
 
 
-def signup_click_purchase_funnel(
-    sf_dir: str, num_shards: int | None = None
-) -> Dataset:
+def signup_click_purchase_funnel(sf_dir: str) -> Dataset:
     """Ordered FUNNEL (sequence-pattern match): users with a signup, then a
     click strictly AFTER it, then a purchase strictly after that click —
     the 3-step conversion query of event analytics. The greedy-earliest
@@ -2562,19 +2267,17 @@ def signup_click_purchase_funnel(
     witness-independent; the SQL oracle states it as an EXISTS join chain.
 
     Physical shape: one scan filters to the three step types and ships
-    (user, step, ts_us) int rows through a user-hash shard groupby — the
-    sessionize cost class (one row per matching event; the text and the
-    other event columns never move). No per-batch minima are kept: a
+    (user, step, ts_us) int rows through a ``shard_exchange`` on user_id —
+    the sessionize cost class (one row per matching event; the text and
+    the other event columns never move). No per-batch minima are kept: a
     qualifying click can be later than any per-batch prefix (the
     threshold is another user's-step min, unknown at batch time), so
     per-batch pruning beyond the type filter would be lossy. Per shard
     the chain evaluates VECTORIZED: per-user min signup via a masked
     ``np.minimum.at``, one threshold-mask per subsequent step — no
     per-user Python loop."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    from spider_ray.blockutil import shard_exchange
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     steps = {"signup": 0, "click": 1, "purchase": 2}
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
@@ -2582,17 +2285,14 @@ def signup_click_purchase_funnel(
         et = b.column("event_type")
         mask = pc.is_in(et, value_set=pa.array(list(steps)))
         t = b.filter(mask)
-        user = t.column("user_id").to_numpy()
         codes = np.zeros(t.num_rows, dtype=np.int8)
         for name, code in steps.items():
             codes[np.asarray(pc.equal(t.column("event_type"), name))] = code
-        ts = t.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
         return pd.DataFrame(
             {
-                "_s": (pd.util.hash_array(user) % num_shards).astype(np.int64),
-                "user_id": user,
+                "user_id": t.column("user_id").to_numpy(),
                 "step": codes,
-                "ts_us": ts,
+                "ts_us": _us(t.column("ts")),
             }
         )
 
@@ -2619,10 +2319,11 @@ def signup_click_purchase_funnel(
         hit = np.unique(uidx[m2][q2])
         return pa.table({"user_id": pa.array(uu[hit], pa.int64())})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_s")
-        .map_groups(shard_funnel, batch_format="pandas")
+    return shard_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "user_id",
+        shard_funnel,
+        pa.schema([("user_id", pa.int64())]),
     )
 
 
@@ -2653,18 +2354,12 @@ def q17_small_qty_revenue(sf_dir: str, brand: str = "Brand#13") -> pa.Table:
 
     line = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
 
-    def _member(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
-        if not len(sorted_keys):
-            return np.zeros(len(probe), dtype=bool)
-        pos = np.minimum(np.searchsorted(sorted_keys, probe), len(sorted_keys) - 1)
-        return sorted_keys[pos] == probe
-
     def pass1(b: pa.Table) -> pa.Table:
         from spider_ray.stages.broadcast import get_broadcast
 
         pks = get_broadcast(pk_ref)
         key = b.column("l_partkey").to_numpy()
-        keep = _member(pks, key)
+        keep = _isin_sorted(pks, key)
         key = key[keep]
         qty_c = _cents(b.column("l_quantity").to_numpy()[keep])
         uk, inv = np.unique(key, return_inverse=True)
@@ -2738,17 +2433,16 @@ def q18_large_orders(sf_dir: str, min_qty: int = 300) -> Dataset:
     total lineitem quantity exceeds ``min_qty``, with customer name.
 
     Physical plan: per-batch PARTIAL (orderkey, qty_c) sums → one
-    INT-SHARD hash groupby (each orderkey co-located on its hash shard, so
-    the per-shard reduce is one vectorized reduceat AND applies the HAVING
+    ``shard_exchange`` on orderkey (each orderkey in one call, so the
+    per-shard reduce is one vectorized reduceat AND applies the HAVING
     filter locally — the shard output is already the answer-sized tail;
     a key-grain ``groupby(l_orderkey)`` sort-aggregate measured 4.1 s of
     the 4.7 s wall at sf0.1 vs ~0.6 s for the shard shape) → broadcast the
     qualifying (orderkey, sum_qty_c) + the customer name dimension → one
-    streaming probe pass over orders. No fact⋈fact shuffle: the only
-    exchange is the combiner-reduced shard groupby."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    streaming probe pass over orders. No fact⋈fact exchange: the only
+    exchange is the combiner-reduced one."""
+    from spider_ray.blockutil import drop_empty_blocks, shard_exchange
 
-    num_shards = default_shuffle_partitions()
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2757,15 +2451,7 @@ def q18_large_orders(sf_dir: str, min_qty: int = 300) -> Dataset:
         uk, inv = np.unique(key, return_inverse=True)
         sq = np.zeros(len(uk), dtype=np.int64)
         np.add.at(sq, inv, qty_c)
-        return pa.table(
-            {
-                "_s": pa.array(
-                    (pd.util.hash_array(uk) % num_shards).astype(np.int64)
-                ),
-                "l_orderkey": pa.array(uk, pa.int64()),
-                "sum_qty_c": pa.array(sq),
-            }
-        )
+        return pa.table({"l_orderkey": pa.array(uk, pa.int64()), "sum_qty_c": pa.array(sq)})
 
     def shard_sum(g: pd.DataFrame) -> pa.Table:
         key = g["l_orderkey"].to_numpy()
@@ -2783,12 +2469,12 @@ def q18_large_orders(sf_dir: str, min_qty: int = 300) -> Dataset:
             }
         )
 
-    big = (
-        line.map_batches(partial, batch_format="pyarrow")
-        .groupby("_s")
-        .map_groups(shard_sum, batch_format="pandas")
-        .to_pandas()  # answer-sized: the HAVING tail
-    )
+    big = shard_exchange(
+        line.map_batches(partial, batch_format="pyarrow"),
+        "l_orderkey",
+        shard_sum,
+        pa.schema([("l_orderkey", pa.int64()), ("sum_qty_c", pa.int64())]),
+    ).to_pandas()  # answer-sized: the HAVING tail
     if big.empty:
         # no order clears the threshold: Ray drops the columns of a
         # zero-row to_pandas — rebuild the empty frame with its schema
@@ -2832,8 +2518,6 @@ def q18_large_orders(sf_dir: str, min_qty: int = 300) -> Dataset:
             }
         )
 
-    from spider_ray.blockutil import drop_empty_blocks
-
     # schema survives an all-filtered result (Ray prunes empty blocks)
     return drop_empty_blocks(
         orders.map_batches(probe, batch_format="pyarrow"),
@@ -2849,39 +2533,19 @@ def q18_large_orders(sf_dir: str, min_qty: int = 300) -> Dataset:
 
 
 def user_value_moving_sum(
-    sf_dir: str, event_type: str = "purchase", window: int = 3,
-    num_shards: int | None = None,
+    sf_dir: str, event_type: str = "purchase", window: int = 3
 ) -> Dataset:
     """Bounded-frame window function — SQL's ``SUM(value) OVER (PARTITION
     BY user_id ORDER BY ts, event_id ROWS BETWEEN 2 PRECEDING AND CURRENT
     ROW)`` — the rolling-feature shape (moving averages/sums per key) that
     complements the unbounded-frame ``user_running_total``.
 
-    Same physical plan as running total (user-hash shards, one lexsort +
-    cumsum pass per shard); the bounded frame is ``cum[i] −
+    Same physical plan as running total (``shard_exchange`` on user_id, one
+    lexsort + cumsum pass per shard); the bounded frame is ``cum[i] −
     cum[max(group_start, i−w+1) − 1]`` computed with one ``np.maximum``
     over the per-row group-start index — no per-row loop, no per-user
     Python call."""
-    from spider_ray.blockutil import default_shuffle_partitions
-
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
-
-    def tag(b: pa.Table) -> pd.DataFrame:
-        b = b.filter(pc.equal(b.column("event_type"), event_type))
-        uid = b.column("user_id").to_numpy()
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(uid) % num_shards).astype(np.int64),
-                "event_id": b.column("event_id").to_numpy(),
-                "user_id": uid,
-                "ts": b.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64),
-                "value_c": np.round(b.column("value").to_numpy() * 100).astype(np.int64),
-            }
-        )
-
-    part = ds.map_batches(tag, batch_format="pyarrow")
+    from spider_ray.blockutil import shard_exchange
 
     def shard_window(g: pd.DataFrame) -> pd.DataFrame:
         uid = g["user_id"].to_numpy()
@@ -2903,16 +2567,31 @@ def user_value_moving_sum(
             {"event_id": eid, "user_id": uid, "moving_c": cum[idx + 1] - cum[lo]}
         )
 
-    return part.groupby("_s").map_groups(shard_window, batch_format="pandas")
+    return shard_exchange(
+        _typed_events(sf_dir, event_type),
+        "user_id",
+        shard_window,
+        pa.schema(
+            [("event_id", pa.int64()), ("user_id", pa.int64()), ("moving_c", pa.int64())]
+        ),
+    )
 
 
 def mode_lang_per_source(sf_dir: str) -> Dataset:
     """MODE per group (argmax-of-counts): the most frequent ``lang`` per
     ``source``, ties broken by lang ascending — the categorical-mode
     aggregate Ray Data lacks. Per-batch (source, lang) count partials →
-    one key-sized groupby → a single answer-sized argmax merge (the
-    (source × lang) grid is ≤ a few hundred rows at any corpus size —
-    categorical domains don't grow with the data)."""
+    ``merge_keyed_sums`` (complete counts) → the argmax over its
+    answer-sized output (the (source × lang) grid is ≤ a few hundred rows
+    at any corpus size — categorical domains don't grow with the data).
+
+    The argmax runs only on COMPLETE counts: over partial counts it would
+    drop a lang that loses one partial but wins the total (which
+    ``final_merge``'s intermediate level used to do to this query above its
+    row threshold). Over complete, key-unique counts it is idempotent, so
+    ``final_merge`` may apply it at any level."""
+    from spider_ray.blockutil import final_merge, merge_keyed_sums
+
     ds = _read(sf_dir, "documents", ["source", "lang"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2926,14 +2605,7 @@ def mode_lang_per_source(sf_dir: str) -> Dataset:
             }
         )
 
-    counts = ds.map_batches(partial, batch_format="pyarrow")
-
-    def argmax_merge(bt: pd.DataFrame) -> pa.Table:
-        # fold the (source, lang) count reduction into the merge itself —
-        # the partials are grid × blocks rows, so one task replaces the
-        # previous grid-keyed sort-based groupby all-to-all; re-applying
-        # over the argmax output is a no-op (rows already unique per key)
-        bt = bt.groupby(["source", "lang"], as_index=False)["n_docs"].sum()
+    def argmax(bt: pd.DataFrame) -> pa.Table:
         # lang ascending then stable sort by count desc ⇒ first row per
         # source is (max count, min lang) — the SQL row_number tie rule
         bt = bt.sort_values("lang", kind="stable")
@@ -2947,15 +2619,16 @@ def mode_lang_per_source(sf_dir: str) -> Dataset:
             }
         )
 
-    from spider_ray.blockutil import final_merge
-
-    return final_merge(
-        counts,
-        argmax_merge,
-        pa.schema(
-            [("source", pa.string()), ("lang", pa.string()), ("n_docs", pa.int64())]
-        ),
+    schema = pa.schema(
+        [("source", pa.string()), ("lang", pa.string()), ("n_docs", pa.int64())]
     )
+    counts = merge_keyed_sums(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        keys=["source", "lang"],
+        sums=["n_docs"],
+        empty_schema=schema,
+    )
+    return final_merge(counts, argmax, schema)
 
 
 def clickers_without_purchase(sf_dir: str) -> Dataset:
@@ -2965,14 +2638,13 @@ def clickers_without_purchase(sf_dir: str) -> Dataset:
     on this dense corpus; the day grain is the shape a churn/abandonment
     pipeline actually queries). Per-batch partial: distinct (user, day)
     per flag (one np.unique over packed keys), emitted as indicator
-    partials; the INT-SHARD groupby co-locates each (user, day) pair, so
-    one maximum.reduceat per shard ORs the indicators AND applies the
+    partials; the ``shard_exchange`` on (user, day) co-locates each pair,
+    so one maximum.reduceat per shard ORs the indicators AND applies the
     EXCEPT filter locally (no pair-grain sort-aggregate). Day crosses the
-    shuffle as int64 epoch-µs (the events_hourly rule) and is cast back
+    exchange as int64 epoch-µs (the events_hourly rule) and is cast back
     after."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    from spider_ray.blockutil import shard_exchange
 
-    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2995,16 +2667,10 @@ def clickers_without_purchase(sf_dir: str) -> Dataset:
             zero = np.zeros(len(pairs), dtype=np.int64)
             out_c.append(one if flag == "c" else zero)
             out_p.append(zero if flag == "c" else one)
-        u = np.concatenate(out_u)
-        d = np.concatenate(out_d)
-        shard = (
-            (pd.util.hash_array(u) ^ pd.util.hash_array(d)) % num_shards
-        ).astype(np.int64)
         return pa.table(
             {
-                "_s": pa.array(shard),
-                "user_id": pa.array(u, pa.int64()),
-                "day": pa.array(d, pa.int64()),
+                "user_id": pa.array(np.concatenate(out_u), pa.int64()),
+                "day": pa.array(np.concatenate(out_d), pa.int64()),
                 "c": pa.array(np.concatenate(out_c)),
                 "p": pa.array(np.concatenate(out_p)),
             }
@@ -3030,75 +2696,46 @@ def clickers_without_purchase(sf_dir: str) -> Dataset:
 
     from spider_ray.blockutil import drop_empty_blocks
 
+    schema = pa.schema([("user_id", pa.int64()), ("day", pa.timestamp("us"))])
     # an all-purchaser corpus yields an EMPTY difference — pin the schema
     # through Ray's empty-block pruning (blockutil.drop_empty_blocks)
     return drop_empty_blocks(
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_s")
-        .map_groups(shard_diff, batch_format="pandas"),
-        pa.schema([("user_id", pa.int64()), ("day", pa.timestamp("us"))]),
+        shard_exchange(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            ["user_id", "day"],
+            shard_diff,
+            schema,
+        ),
+        schema,
     )
 
 
 def late_shipment_priority_counts(
-    sf_dir: str, ship_cutoff: str = "1998-06-01", num_shards: int | None = None
+    sf_dir: str, ship_cutoff: str = "1998-06-01"
 ) -> Dataset:
     """TPC-H-Q4-shaped EXISTS semi-join + grouped count: orders having at
     least one lineitem shipped on/after ``ship_cutoff``, counted per
     order priority — the POSITIVE counterpart of the
-    ``orders_without_lineitems`` anti-join, same tagged-union shape.
+    ``orders_without_lineitems`` anti-join, same ``shard_join`` shape.
 
     Both sides are fact-sized so neither broadcasts: lineitem reduces to
     per-batch UNIQUE qualifying orderkeys before the exchange, the shard
     does one searchsorted membership test, and the per-priority counts
     leave each shard as ≤ 5 partial rows."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    from spider_ray.blockutil import merge_keyed_sums, shard_join
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     cutoff_us = np.int64(np.datetime64(ship_cutoff, "us").astype(np.int64))
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
-    def o_side(b: pd.DataFrame) -> pd.DataFrame:
-        key = b["o_orderkey"].to_numpy()
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(key) % num_shards).astype(np.int64),
-                "_t": np.zeros(len(key), dtype=np.int8),
-                "o_orderkey": key,
-                "o_orderpriority": b["o_orderpriority"].to_numpy(),
-            }
-        )
+    def l_side(b: pa.Table) -> pa.Table:
+        late = _us(b.column("l_shipdate")) >= cutoff_us
+        key = np.unique(b.column("l_orderkey").to_numpy()[late])
+        return pa.table({"o_orderkey": pa.array(key, pa.int64())})
 
-    def l_side(b: pa.Table) -> pd.DataFrame:
-        ship = b.column("l_shipdate").to_numpy().astype("datetime64[us]").astype(np.int64)
-        key = np.unique(b.column("l_orderkey").to_numpy()[ship >= cutoff_us])
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(key) % num_shards).astype(np.int64),
-                "_t": np.ones(len(key), dtype=np.int8),
-                "o_orderkey": key,
-                "o_orderpriority": np.full(len(key), "", dtype=object),
-            }
-        )
-
-    tagged = orders.map_batches(o_side, batch_format="pandas").union(
-        line.map_batches(l_side, batch_format="pyarrow")
-    )
-
-    def shard_semi(g: pd.DataFrame) -> pa.Table:
-        t = g["_t"].to_numpy()
-        o = g.loc[t == 0]
-        lk = np.unique(g.loc[t == 1, "o_orderkey"].to_numpy())
-        ok = o["o_orderkey"].to_numpy()
-        if len(lk):
-            pos = np.minimum(np.searchsorted(lk, ok), len(lk) - 1)
-            hit = lk[pos] == ok
-        else:
-            hit = np.zeros(len(ok), dtype=bool)
-        pr = o["o_orderpriority"].to_numpy()[hit]
-        up, cnt = np.unique(pr, return_counts=True)
+    def shard_semi(o: pd.DataFrame, li: pd.DataFrame) -> pa.Table:
+        hit = _isin_sorted(np.unique(li["o_orderkey"].to_numpy()), o["o_orderkey"].to_numpy())
+        up, cnt = np.unique(o["o_orderpriority"].to_numpy()[hit], return_counts=True)
         return pa.table(
             {
                 "o_orderpriority": pa.array(up, pa.string()),
@@ -3106,17 +2743,20 @@ def late_shipment_priority_counts(
             }
         )
 
-    from spider_ray.blockutil import merge_keyed_sums
-
+    schema = pa.schema([("o_orderpriority", pa.string()), ("n_orders", pa.int64())])
     # ≤5 partial rows leave each shard — answer-sized, so the finish is
     # final_merge's single task, not a second sort-based groupby all-to-all
     return merge_keyed_sums(
-        tagged.groupby("_s").map_groups(shard_semi, batch_format="pandas"),
+        shard_join(
+            orders,
+            line.map_batches(l_side, batch_format="pyarrow"),
+            "o_orderkey",
+            shard_semi,
+            schema,
+        ),
         keys=["o_orderpriority"],
         sums=["n_orders"],
-        empty_schema=pa.schema(
-            [("o_orderpriority", pa.string()), ("n_orders", pa.int64())]
-        ),
+        empty_schema=schema,
     )
 
 
@@ -3201,17 +2841,16 @@ def hourly_active_users(sf_dir: str) -> Dataset:
     'hourly actives' metric; events_hourly counts rows, this counts
     users). Per-batch partial: one np.unique over packed (hour, user)
     int64 pairs — the exchange carries distinct-(hour, user)-per-block
-    rows, never event rows. Cross-block dedup is the INT-SHARD groupby on
-    ``hash(hour, user) % P`` (a pair lives wholly in one shard, so one
-    np.unique per shard is a GLOBAL dedup and the shard emits per-hour
-    partial counts directly); the hour-keyed combiner finish is
-    final_merge's single task — this replaces the previous
-    pair-grain ``groupby((hour, user))`` + hour-grain groupby pair of
-    sort-based all-to-alls (2.7 s → ~1.2 s at sf0.1/32 cpus). Hour
-    crosses the shuffle as int64 epoch-µs (the events_hourly rule)."""
-    from spider_ray.blockutil import default_shuffle_partitions, merge_keyed_sums
+    rows, never event rows. Cross-block dedup is the ``shard_exchange`` on
+    (hour, user) (a pair lives wholly in one shard, so one np.unique per
+    shard is a GLOBAL dedup and the shard emits per-hour partial counts
+    directly); the hour-keyed combiner finish is final_merge's single task
+    — this replaces the previous pair-grain ``groupby((hour, user))`` +
+    hour-grain groupby pair of sort-based all-to-alls (2.7 s → ~1.2 s at
+    sf0.1/32 cpus). Hour crosses the exchange as int64 epoch-µs (the
+    events_hourly rule)."""
+    from spider_ray.blockutil import merge_keyed_sums, shard_exchange
 
-    num_shards = default_shuffle_partitions()
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -3223,16 +2862,8 @@ def hourly_active_users(sf_dir: str) -> Dataset:
         )
         uid = b.column("user_id").to_numpy()
         pairs = np.unique(np.stack([hour, uid], axis=1), axis=0)
-        shard = (
-            (
-                pd.util.hash_array(pairs[:, 0])
-                ^ pd.util.hash_array(pairs[:, 1])
-            )
-            % num_shards
-        ).astype(np.int64)
         return pa.table(
             {
-                "_s": pa.array(shard),
                 "hour": pa.array(pairs[:, 0], pa.int64()),
                 "user_id": pa.array(pairs[:, 1], pa.int64()),
             }
@@ -3251,13 +2882,17 @@ def hourly_active_users(sf_dir: str) -> Dataset:
             }
         )
 
+    schema = pa.schema([("hour", pa.int64()), ("n_users", pa.int64())])
     agg = merge_keyed_sums(
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_s")
-        .map_groups(shard_distinct_counts, batch_format="pandas"),
+        shard_exchange(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            ["hour", "user_id"],
+            shard_distinct_counts,
+            schema,
+        ),
         keys=["hour"],
         sums=["n_users"],
-        empty_schema=pa.schema([("hour", pa.int64()), ("n_users", pa.int64())]),
+        empty_schema=schema,
     )
 
     def cast_back(b: pa.Table) -> pa.Table:

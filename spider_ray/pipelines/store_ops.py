@@ -34,19 +34,11 @@ def catch(out_dir: str, parent_url: str, limit: int = 10) -> Dataset:
     key = human_repr(canonicalize(ensure_scheme(parent_url)))
     LOG.info("catch parent=%s limit=%d", key, limit)
     # column-pruned read: the flagship user query must never scan the page
-    # text bytes (the reference SELECTs url,title only, :153)
+    # text bytes (the reference SELECTs url,title only, :153); vectorized
+    # equality filter — NOT an interpolated expr string (the key is
+    # percent-DECODED, so it can legally contain quotes/spaces)
     ds = read_store(out_dir, columns=["url", "title", "parent", "discovery_rank"])
-    # vectorized equality filter — NOT an interpolated expr string (the key
-    # is percent-DECODED, so it can legally contain quotes/spaces)
-    return (
-        ds.map_batches(
-            lambda t: t.filter(pc.equal(t["parent"], pa.scalar(key))),
-            batch_format="pyarrow",
-        )
-        .sort("discovery_rank")
-        .limit(limit)
-        .select_columns(["url", "title"])
-    )
+    return _first_by_rank(ds, lambda t: pc.equal(t["parent"], pa.scalar(key)), limit)
 
 
 def catch_contains(out_dir: str, fragment: str, limit: int = 10) -> Dataset:
@@ -56,17 +48,34 @@ def catch_contains(out_dir: str, fragment: str, limit: int = 10) -> Dataset:
     import pyarrow.compute as pc
 
     ds = read_store(out_dir, columns=["url", "title", "discovery_rank"])
-    return (
-        # vectorized substring match (a per-row Python lambda here cost one
-        # interpreter call per store row)
-        ds.map_batches(
-            lambda t: t.filter(pc.match_substring(t["url"], fragment)),
-            batch_format="pyarrow",
-        )
-        .sort("discovery_rank")
-        .limit(limit)
-        .select_columns(["url", "title"])
+    # vectorized substring match (a per-row Python lambda here cost one
+    # interpreter call per store row)
+    return _first_by_rank(ds, lambda t: pc.match_substring(t["url"], fragment), limit)
+
+
+def _first_by_rank(ds: Dataset, pred, limit: int) -> Dataset:
+    """(url, title) of the ``limit`` rows matching ``pred`` with the lowest
+    discovery_rank, in rank order: a per-block filter + top-``limit``, then
+    ``final_merge``'s single sort + head — no distributed sort of the
+    store."""
+    import pyarrow as pa
+
+    from spider_ray.blockutil import final_merge
+
+    schema = pa.schema(
+        [("url", pa.string()), ("title", pa.string()), ("discovery_rank", pa.int64())]
     )
+
+    def head(t: pa.Table) -> pa.Table:
+        return t.select(schema.names).sort_by("discovery_rank").slice(0, limit)
+
+    top = final_merge(
+        ds.map_batches(lambda t: head(t.filter(pred(t))), batch_format="pyarrow"),
+        head,
+        schema,
+        batch_format="pyarrow",
+    )
+    return top.select_columns(["url", "title"])
 
 
 def count_all(out_dir: str) -> int:

@@ -222,51 +222,14 @@ def rolling_fingerprint(text: str, window: int = 8, base: int = 257, mod: int = 
     return best
 
 
-def _token_shard_sum(partials: Dataset, val: str, num_shards: int) -> Dataset:
-    """INT-SHARD reduce for a (token, val) partial stream: tokens co-located
-    by ``hash(token) % P`` (one cheap int-key exchange instead of a
-    token-grain string sort-aggregate — the top_bigrams measurement), each
-    shard merged with one pandas C-hash groupby. Output stays distributed
-    (vocab-sized)."""
-
-    def add_shard(d: pd.DataFrame) -> pd.DataFrame:
-        tok = d["token"].to_numpy(dtype=object)
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(tok) % num_shards).astype(np.int64),
-                "token": tok,
-                val: d[val].to_numpy().astype(np.int64),
-            }
-        )
-
-    def shard_sum(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("token", as_index=False, sort=False)[val].sum()
-
-    # map_batches fuses with the upstream partial task — no extra pass
-    return (
-        partials.map_batches(add_shard, batch_format="pandas")
-        .groupby("_s")
-        .map_groups(shard_sum, batch_format="pandas")
-    )
-
-
-def _token_shard_topk(
-    partials: Dataset, val: str, k: int, num_shards: int
-) -> Dataset:
-    """_token_shard_sum with the top-k fused into the shard reduce (valid:
-    the global top-k is a subset of the union of shard top-ks) and an
-    answer-sized final merge — replaces a vocab-grain sort + limit."""
-    from spider_ray.blockutil import final_merge
-
-    def add_shard(d: pd.DataFrame) -> pd.DataFrame:
-        tok = d["token"].to_numpy(dtype=object)
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(tok) % num_shards).astype(np.int64),
-                "token": tok,
-                val: d[val].to_numpy().astype(np.int64),
-            }
-        )
+def _token_shard_topk(partials: Dataset, val: str, k: int) -> Dataset:
+    """Top-k tokens of a (token, val) partial stream: a ``shard_exchange``
+    on token (one int-key exchange instead of a token-grain string
+    sort-aggregate — the top_bigrams measurement) sums each shard with one
+    pandas C-hash groupby and keeps its local top-k (valid: the global top-k
+    is a subset of the union of shard top-ks); an answer-sized final merge
+    replaces a vocab-grain sort + limit."""
+    from spider_ray.blockutil import final_merge, shard_exchange
 
     def shard_topk(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("token", as_index=False, sort=False)[val].sum()
@@ -281,15 +244,9 @@ def _token_shard_topk(
             .reset_index(drop=True)
         )
 
-    shards = (
-        partials.map_batches(add_shard, batch_format="pandas")
-        .groupby("_s")
-        .map_groups(shard_topk, batch_format="pandas")
-    )
+    schema = pa.schema([("token", pa.string()), (val, pa.int64())])
     return final_merge(
-        shards,
-        merge_topk,
-        pa.schema([("token", pa.string()), (val, pa.int64())]),
+        shard_exchange(partials, "token", shard_topk, schema), merge_topk, schema
     )
 
 
@@ -307,19 +264,12 @@ def token_doc_frequency(sf_dir: str, k: int = 50) -> Dataset:
     loop); per-document DISTINCT via a vectorized (doc, token)
     drop_duplicates INSIDE the batch — sound because doc_id is unique in
     the documents table, so no document spans two blocks — then a per-batch
-    value_counts emits (token, df) PARTIALS. The shuffle carries
+    value_counts emits (token, df) PARTIALS. The exchange carries
     O(vocab × blocks) partial rows, never O(token occurrences): at the
     100 TB design point the exchange is bounded by vocabulary size, the
     same combiner contract as q1. The final top-k is a vocab-sized sort."""
-    from spider_ray.blockutil import default_shuffle_partitions
-
     ds = _docs(sf_dir, ["doc_id", "text"])
-    return _token_shard_topk(
-        ds.map_batches(_partial_df, batch_format="pyarrow"),
-        "df",
-        k,
-        default_shuffle_partitions(),
-    )
+    return _token_shard_topk(ds.map_batches(_partial_df, batch_format="pyarrow"), "df", k)
 
 
 def _partial_df(b: pa.Table) -> pd.DataFrame:
@@ -352,7 +302,7 @@ def top_tokens(sf_dir: str, k: int = 50) -> Dataset:
 
     Physical shape: one ``pc.split_pattern`` per batch → zero-copy flatten
     → ONE ``pc.value_counts`` (all Arrow kernels, no Python token loop)
-    emits (token, n) PARTIALS; the shuffle carries O(vocab × blocks) rows,
+    emits (token, n) PARTIALS; the exchange carries O(vocab × blocks) rows,
     never O(token occurrences) — the same vocabulary-bounded combiner
     contract as token_doc_frequency. Final top-k is a vocab-sized sort."""
     import pyarrow.compute as pc
@@ -367,14 +317,7 @@ def top_tokens(sf_dir: str, k: int = 50) -> Dataset:
         keep = pc.not_equal(tok, "")
         return pa.table({"token": tok.filter(keep), "n": cnt.filter(keep)})
 
-    from spider_ray.blockutil import default_shuffle_partitions
-
-    return _token_shard_topk(
-        ds.map_batches(partial_tf, batch_format="pyarrow"),
-        "n",
-        k,
-        default_shuffle_partitions(),
-    )
+    return _token_shard_topk(ds.map_batches(partial_tf, batch_format="pyarrow"), "n", k)
 
 
 def _partial_tf_rows(b: pa.Table) -> pd.DataFrame:
@@ -430,7 +373,6 @@ def tfidf_top_terms(
     sf_dir: str,
     k: int = 3,
     broadcast_vocab_limit: int = 64 << 20,
-    num_shards: int | None = None,
 ) -> Dataset:
     """Per-document top-k terms by TF-IDF — the keyword/topic signal a
     training-data pipeline derives per document for tagging, clustering
@@ -451,20 +393,21 @@ def tfidf_top_terms(
     - vocab ≤ ``broadcast_vocab_limit``: the (token, df) table broadcasts
       once via ``ray.put`` and ONE stateless pass computes per-batch tf
       rows, a C-hash merge against the vocab, and the per-doc top-k —
-      zero shuffles beyond the vocab-bounded DF aggregate itself (a doc's
+      zero exchanges beyond the vocab-bounded DF aggregate itself (a doc's
       tokens never leave its batch: doc_id is row-unique).
     - beyond the limit (web-scale vocab — typos/urls make token types
-      grow without bound): tagged-union token-hash shuffle joins df onto
-      the (doc_id, token, tf) stream, then a doc-hash shuffle runs the
-      per-doc top-k per shard. Both exchanges carry combiner-reduced
+      grow without bound): a ``shard_join`` on token joins df onto the
+      (doc_id, token, tf) stream, then a ``shard_exchange`` on doc_id runs
+      the per-doc top-k per shard. Both exchanges carry combiner-reduced
       (doc, token) metadata rows, never token occurrences or text."""
-    from spider_ray.blockutil import default_shuffle_partitions
+    from spider_ray.blockutil import shard_exchange, shard_join
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     ds = _docs(sf_dir, ["doc_id", "text"])
-    df_mat = _token_shard_sum(
-        ds.map_batches(_partial_df, batch_format="pyarrow"), "df", num_shards
+    df_mat = shard_exchange(
+        ds.map_batches(_partial_df, batch_format="pyarrow"),
+        "token",
+        lambda g: g.groupby("token", as_index=False, sort=False)["df"].sum(),
+        pa.schema([("token", pa.string()), ("df", pa.int64())]),
     ).materialize()
 
     if df_mat.size_bytes() <= broadcast_vocab_limit:
@@ -480,56 +423,26 @@ def tfidf_top_terms(
 
         return ds.map_batches(score_batch, batch_format="pyarrow")
 
-    tf_rows = ds.map_batches(_partial_tf_rows, batch_format="pyarrow")
-
-    def tag_tf(b: pd.DataFrame) -> pd.DataFrame:
-        tok = b["token"].to_numpy(dtype=object)
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(tok) % num_shards).astype(np.int64),
-                "_t": np.ones(len(tok), dtype=np.int8),
-                "doc_id": b["doc_id"].to_numpy().astype(np.int64),
-                "token": tok,
-                "tf": b["tf"].to_numpy().astype(np.int64),
-                "df": np.zeros(len(tok), dtype=np.int64),
-            }
-        )
-
-    def tag_df(b: pd.DataFrame) -> pd.DataFrame:
-        tok = b["token"].to_numpy(dtype=object)
-        return pd.DataFrame(
-            {
-                "_s": (pd.util.hash_array(tok) % num_shards).astype(np.int64),
-                "_t": np.zeros(len(tok), dtype=np.int8),
-                "doc_id": np.full(len(tok), -1, dtype=np.int64),
-                "token": tok,
-                "tf": np.zeros(len(tok), dtype=np.int64),
-                "df": b["df"].to_numpy().astype(np.int64),
-            }
-        )
-
-    tagged = tf_rows.map_batches(tag_tf, batch_format="pandas").union(
-        df_mat.map_batches(tag_df, batch_format="pandas")
-    )
-
-    def merge_shard(g: pd.DataFrame) -> pd.DataFrame:
-        t = g["_t"].to_numpy()
-        dfs = g.loc[t == 0, ["token", "df"]]
-        tfs = g.loc[t == 1, ["doc_id", "token", "tf"]]
+    def merge_shard(dfs: pd.DataFrame, tfs: pd.DataFrame) -> pd.DataFrame:
         m = tfs.merge(dfs, on="token", how="inner")
         m["tfidf_scaled"] = (m["tf"].to_numpy() * 1_000_000) // m[
             "df"
         ].to_numpy()
-        uid = m["doc_id"].to_numpy()
-        m["_s2"] = (pd.util.hash_array(uid) % num_shards).astype(np.int64)
-        return m[["_s2", "doc_id", "token", "tfidf_scaled"]]
+        return m[["doc_id", "token", "tfidf_scaled"]]
 
-    scored = tagged.groupby("_s").map_groups(merge_shard, batch_format="pandas")
-    # every (doc, token) row of one doc lands in one _s2 shard, so the
-    # per-shard top-k is globally final
-    return scored.groupby("_s2").map_groups(
-        lambda g: _topk_terms(g, k), batch_format="pandas"
+    schema = pa.schema(
+        [("doc_id", pa.int64()), ("token", pa.string()), ("tfidf_scaled", pa.int64())]
     )
+    scored = shard_join(
+        df_mat,
+        ds.map_batches(_partial_tf_rows, batch_format="pyarrow"),
+        "token",
+        merge_shard,
+        schema,
+    )
+    # every (doc, token) row of one doc lands in one shard, so the
+    # per-shard top-k is globally final
+    return shard_exchange(scored, "doc_id", lambda g: _topk_terms(g, k), schema)
 
 
 def dup_ngram_stats(sf_dir: str, n: int = 3) -> Dataset:
@@ -779,9 +692,8 @@ def clean_dedup_corpus(sf_dir: str, min_tokens: int = 10, max_dup_pct: int = 20,
     import shutil
     import tempfile
 
-    from spider_ray.blockutil import default_shuffle_partitions, read_clean_parquet
+    from spider_ray.blockutil import read_clean_parquet, shard_exchange
 
-    num_shards = default_shuffle_partitions()
     names = [nm for nm, _ in LANG_MARKERS]
     li = names.index(lang)
 
@@ -801,7 +713,6 @@ def clean_dedup_corpus(sf_dir: str, min_tokens: int = 10, max_dup_pct: int = 20,
         if not len(out):
             return pd.DataFrame(
                 {
-                    "_s": np.array([], dtype=np.int64),
                     "fp_hi": np.array([], dtype=np.int64),
                     "fp_lo": np.array([], dtype=np.int64),
                     "doc_id": np.array([], dtype=np.int64),
@@ -824,7 +735,6 @@ def clean_dedup_corpus(sf_dir: str, min_tokens: int = 10, max_dup_pct: int = 20,
         hi, lo, doc, src, nch = hi[first], lo[first], doc[first], src[first], nch[first]
         return pd.DataFrame(
             {
-                "_s": (pd.util.hash_array(hi ^ lo) % num_shards).astype(np.int64),
                 "fp_hi": hi,
                 "fp_lo": lo,
                 "doc_id": doc,
@@ -850,11 +760,13 @@ def clean_dedup_corpus(sf_dir: str, min_tokens: int = 10, max_dup_pct: int = 20,
             }
         )
 
-    winners = (
-        _docs(sf_dir, ["doc_id", "source", "n_chars", "text"])
-        .map_batches(filter_fp, batch_format="pandas")
-        .groupby("_s")
-        .map_groups(shard_min, batch_format="pandas")
+    winners = shard_exchange(
+        _docs(sf_dir, ["doc_id", "source", "n_chars", "text"]).map_batches(
+            filter_fp, batch_format="pandas"
+        ),
+        "fp_hi",
+        shard_min,
+        pa.schema([("doc_id", pa.int64()), ("source", pa.string()), ("n_chars", pa.int64())]),
     )
 
     out_dir = tempfile.mkdtemp(prefix="spider_ray_corpus_")
@@ -894,7 +806,7 @@ def pc_cast_str(col: "pa.ChunkedArray") -> "pa.ChunkedArray":
     return col
 
 
-def top_bigrams(sf_dir: str, k: int = 40, num_shards: int | None = None) -> Dataset:
+def top_bigrams(sf_dir: str, k: int = 40) -> Dataset:
     """Corpus-wide word-BIGRAM counts, top-k by (n DESC, w1, w2) — the
     sequence-n-gram sibling of ``top_tokens`` (language-model count
     pipelines start here). Tokenization contract: single-space split;
@@ -905,19 +817,17 @@ def top_bigrams(sf_dir: str, k: int = 40, num_shards: int | None = None) -> Data
     adjacency is ``parent[i] == parent[i+1]`` over the flattened parent
     indices (one vectorized compare — pairs never cross documents); one
     pandas groupby-size per batch emits (w1, w2, n) PARTIALS. The exchange
-    is an INT-shard groupby on ``hash(w1,w2) % P`` — a two-string-key
+    is a ``shard_exchange`` on (w1, w2) — a two-string-key
     ``Dataset.groupby`` sort-shuffles the bigram strings themselves and
     measured ~10× slower (the distinct_users_hll string-shuffle pitfall);
     every copy of a bigram lands in one shard, so per-shard sums are exact
     and each shard emits only its local top-k, merged by one answer-sized
-    final task (k×P rows). Scale relief for an unbounded vocabulary is
+    final task (k rows a shard). Scale relief for an unbounded vocabulary is
     heavy_hitter_tokens' count-min sketch (same contract, sketched)."""
     import pyarrow.compute as pc
 
-    from spider_ray.blockutil import default_shuffle_partitions, final_merge
+    from spider_ray.blockutil import final_merge, shard_exchange
 
-    if num_shards is None:
-        num_shards = default_shuffle_partitions()
     ds = _docs(sf_dir, ["text"])
 
     def partial(b: pa.Table) -> pd.DataFrame:
@@ -927,7 +837,6 @@ def top_bigrams(sf_dir: str, k: int = 40, num_shards: int | None = None) -> Data
         vals = flat.to_pandas().to_numpy(dtype=object)
         empty = pd.DataFrame(
             {
-                "_s": np.array([], dtype=np.int64),
                 "w1": np.array([], dtype=object),
                 "w2": np.array([], dtype=object),
                 "n": np.array([], dtype=np.int64),
@@ -943,17 +852,10 @@ def top_bigrams(sf_dir: str, k: int = 40, num_shards: int | None = None) -> Data
         d = pd.DataFrame({"w1": w1[keep], "w2": w2[keep]})
         g = d.groupby(["w1", "w2"], sort=False).size()
         idx = g.index.to_frame(index=False)
-        gw1 = idx["w1"].to_numpy(dtype=object)
-        gw2 = idx["w2"].to_numpy(dtype=object)
-        shard = (
-            (pd.util.hash_array(gw1) ^ (pd.util.hash_array(gw2) >> np.uint64(1)))
-            % num_shards
-        ).astype(np.int64)
         return pd.DataFrame(
             {
-                "_s": shard,
-                "w1": gw1,
-                "w2": gw2,
+                "w1": idx["w1"].to_numpy(dtype=object),
+                "w2": idx["w2"].to_numpy(dtype=object),
                 "n": g.to_numpy().astype(np.int64),
             }
         )
@@ -965,10 +867,9 @@ def top_bigrams(sf_dir: str, k: int = 40, num_shards: int | None = None) -> Data
         ).head(k)
         return agg[["w1", "w2", "n"]]
 
-    partials = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_s")
-        .map_groups(shard_topk, batch_format="pandas")
+    schema = pa.schema([("w1", pa.string()), ("w2", pa.string()), ("n", pa.int64())])
+    partials = shard_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), ["w1", "w2"], shard_topk, schema
     )
 
     def merge_topk(bt: pd.DataFrame) -> pa.Table:
@@ -983,11 +884,7 @@ def top_bigrams(sf_dir: str, k: int = 40, num_shards: int | None = None) -> Data
             }
         )
 
-    return final_merge(
-        partials,
-        merge_topk,
-        pa.schema([("w1", pa.string()), ("w2", pa.string()), ("n", pa.int64())]),
-    )
+    return final_merge(partials, merge_topk, schema)
 
 
 def stratified_sample_documents(

@@ -21,3 +21,18 @@ def ray_session():
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def shard_shape(monkeypatch):
+    """``shard_shape(n)`` forces every ``shard_exchange`` / ``shard_join``
+    onto its multi-shard branch with ``n`` shards (one row per shard, at
+    most ``n``), for the rest of the test — the answer must not depend on
+    the shard count or on which branch ran."""
+    import spider_ray.blockutil as B
+
+    def force(n: int) -> None:
+        monkeypatch.setattr(B, "_ROWS_PER_SHARD", 1)
+        monkeypatch.setattr(B, "default_shuffle_partitions", lambda floor=4, cap=256: n)
+
+    return force

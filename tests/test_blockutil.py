@@ -35,10 +35,9 @@ def test_drop_empty_blocks_all_empty_keeps_schema():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_attach_payload_inner_join_semantics():
+def test_attach_payload_inner_join_semantics(shard_shape):
     """attach_payload == inner equi-join: matched keys gain the payload,
     unmatched pair rows drop, payload-only keys never surface."""
-    import numpy as np
     import pandas as pd
     import ray
 
@@ -50,6 +49,7 @@ def test_attach_payload_inner_join_semantics():
     payload = ray.data.from_pandas(
         pd.DataFrame({"pk": [1, 2, 3, 4], "pv": [b"x1", b"x2", b"x3", b"x4"]})
     ).repartition(2)
+    shard_shape(4)
     out = attach_payload(
         pairs,
         payload,
@@ -57,8 +57,6 @@ def test_attach_payload_inner_join_semantics():
         payload_key="pk",
         payload_col="pv",
         out_col="v",
-        pair_cols={"a": np.int64(0), "b": np.int64(0)},
-        num_shards=4,
     ).to_pandas()
     got = {(r.a, r.b, bytes(r.v)) for r in out.itertuples()}
     # key 9 has no payload (dropped); key 4's payload has no pair (dropped)
@@ -66,10 +64,9 @@ def test_attach_payload_inner_join_semantics():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_attach_payload_dedup_on_is_global():
+def test_attach_payload_dedup_on_is_global(shard_shape):
     """dedup_on containing pairs_key dedups GLOBALLY: every copy of a pair
     hashes to the same shard regardless of which input block it came from."""
-    import numpy as np
     import pandas as pd
     import ray
 
@@ -79,6 +76,7 @@ def test_attach_payload_dedup_on_is_global():
     dup = pd.DataFrame({"a": [7], "b": [70]})
     pairs = ray.data.from_pandas([dup, dup, dup, dup])
     payload = ray.data.from_pandas(pd.DataFrame({"pk": [7], "pv": [b"p"]}))
+    shard_shape(3)
     out = attach_payload(
         pairs,
         payload,
@@ -86,8 +84,6 @@ def test_attach_payload_dedup_on_is_global():
         payload_key="pk",
         payload_col="pv",
         out_col="v",
-        pair_cols={"a": np.int64(0), "b": np.int64(0)},
-        num_shards=3,
         dedup_on=["a", "b"],
     ).to_pandas()
     assert len(out) == 1
@@ -287,3 +283,137 @@ def test_merge_keyed_sums_empty_input_preserves_schema():
     )
     assert out.count() == 0
     assert out.schema().names == ["k", "n"]
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("shape", ["one_task", "shuffled"])
+def test_shard_exchange_zero_one_and_many_keys(shape, shard_shape):
+    """Every call of fn holds whole key groups (each key comes out once),
+    fn never sees the shard column, and zero rows give out_schema."""
+    import pandas as pd
+    import ray
+
+    from spider_ray.blockutil import shard_exchange
+
+    if shape == "shuffled":
+        shard_shape(7)
+    schema = pa.schema([("k", pa.int64()), ("v", pa.int64())])
+
+    def key_sums(g: pd.DataFrame) -> pd.DataFrame:
+        assert list(g.columns) == ["k", "v"]
+        return g.groupby("k", as_index=False)["v"].sum()
+
+    def run(frames):
+        out = shard_exchange(ray.data.from_pandas(frames), "k", key_sums, schema)
+        return out, sorted(map(tuple, out.to_pandas().itertuples(index=False)))
+
+    empty = pd.DataFrame({"k": pd.Series([], dtype="int64"), "v": pd.Series([], dtype="int64")})
+    out, rows = run([empty])
+    assert rows == [] and out.schema().names == ["k", "v"]
+
+    assert run([pd.DataFrame({"k": [5], "v": [3]})])[1] == [(5, 3)]
+
+    frames = [
+        pd.DataFrame({"k": [(b * 40 + i) % 23 for i in range(40)], "v": [1] * 40})
+        for b in range(5)
+    ]
+    want = pd.concat(frames).groupby("k")["v"].sum()
+    assert run(frames)[1] == sorted(zip(want.index, want.to_numpy()))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_shard_exchange_splits_wide_rows_by_bytes(monkeypatch):
+    """A few rows far under the row bound still go to several shards when
+    their bytes exceed _BYTES_PER_SHARD — and give the same answer."""
+    import uuid
+
+    import pandas as pd
+    import ray
+
+    import spider_ray.blockutil as B
+
+    schema = pa.schema([("k", pa.int64()), ("n", pa.int64()), ("call", pa.string())])
+
+    def per_call(g: pd.DataFrame) -> pd.DataFrame:
+        out = g.groupby("k", as_index=False).size().rename(columns={"size": "n"})
+        return out.assign(call=uuid.uuid4().hex)
+
+    ds = ray.data.from_pandas(
+        [
+            pd.DataFrame({"k": range(b * 16, b * 16 + 16), "blob": [b"x" * 1024] * 16})
+            for b in range(4)
+        ]
+    )
+
+    def run():
+        got = B.shard_exchange(ds, "k", per_call, schema).to_pandas()
+        assert sorted(got["k"]) == list(range(64)) and (got["n"] == 1).all()
+        return got["call"].nunique()
+
+    assert run() == 1
+    monkeypatch.setattr(B, "_BYTES_PER_SHARD", 8 << 10)
+    assert B._ROWS_PER_SHARD > 64
+    assert run() > 1
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("shape", ["one_task", "shuffled"])
+def test_shard_join_sides_keep_their_columns(shape, shard_shape):
+    """fn(left, right) gets each side with exactly its own columns and
+    dtypes — a typed empty frame when a shard (or the whole input) holds
+    no rows of that side."""
+    import pandas as pd
+    import ray
+
+    from spider_ray.blockutil import shard_join
+
+    if shape == "shuffled":
+        shard_shape(7)
+    left = ray.data.from_pandas(
+        [pd.DataFrame({"k": range(b * 10, b * 10 + 10), "name": [f"n{b}"] * 10}) for b in range(3)]
+    )
+    right = ray.data.from_pandas(
+        pd.DataFrame({"k": [0, 3, 3, 9, 27, 99], "w": [1.5] * 6})
+    )
+    schema = pa.schema([("k", pa.int64()), ("name", pa.string()), ("n_right", pa.int64())])
+
+    def counts(lt: pd.DataFrame, rt: pd.DataFrame) -> pd.DataFrame:
+        assert list(lt.columns) == ["k", "name"] and list(rt.columns) == ["k", "w"]
+        assert lt["k"].dtype == "int64" and rt["w"].dtype == "float64"
+        n = rt.groupby("k").size()
+        return lt.assign(n_right=lt["k"].map(n).fillna(0).astype("int64"))
+
+    got = shard_join(left, right, "k", counts, schema).to_pandas().sort_values("k")
+    assert got["k"].tolist() == list(range(30))
+    assert dict(zip(got["k"], got["n_right"])) == {
+        k: {0: 1, 3: 2, 9: 1, 27: 1}.get(k, 0) for k in range(30)
+    }
+
+    none = right.filter(expr="k < 0")
+    assert shard_join(left, none, "k", lambda lt, rt: lt, schema).count() == 30
+    out = shard_join(none, none, "k", counts, schema)
+    assert out.count() == 0 and out.schema().names == schema.names
+
+
+def test_no_hand_rolled_exchange_outside_shard_exchange():
+    """The query pipelines exchange rows only through blockutil's
+    shard_exchange / shard_join: a ``.map_groups(`` anywhere else in
+    ``spider_ray/pipelines/`` or ``blockutil.py`` is a hand-rolled copy."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "spider_ray"
+    # (file, top-level function) → why it may call map_groups
+    allowed = {
+        ("blockutil.py", "_exchange"): "the multi-shard branch of shard_exchange itself",
+    }
+    found = []
+    for path in sorted(root.glob("pipelines/*.py")) + [root / "blockutil.py"]:
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "map_groups":
+                    site = (path.name, getattr(top, "name", "<module>"))
+                    if site not in allowed:
+                        found.append(f"{path.name}:{node.lineno} in {site[1]}")
+    assert found == []

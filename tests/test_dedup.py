@@ -37,9 +37,9 @@ def test_minhash_lsh_finds_planted_dupes():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_lsh_pipelines_invariant_to_partition_count():
-    """VERDICT r2 item 6: the shuffle fan-out is a pure parallelism knob —
-    output must be identical at any num_partitions."""
+def test_lsh_pipelines_invariant_to_partition_count(shard_shape):
+    """VERDICT r2 item 6: the exchange fan-out is a pure parallelism knob —
+    output must be identical in one task and at any shard count."""
     import ray
 
     from spider_ray.pipelines.ann import embedding_near_dup_lsh
@@ -52,24 +52,25 @@ def test_lsh_pipelines_invariant_to_partition_count():
     def canon(df, cols):
         return sorted(map(tuple, df[cols].itertuples(index=False)))
 
-    mh = [
-        canon(
-            minhash_lsh_pairs(docs, jaccard_threshold=0.6, num_partitions=p).to_pandas(),
-            ["doc_a", "doc_b", "n_inter", "n_union"],
-        )
-        for p in (2, 7)
-    ]
-    assert mh[0] == mh[1] and len(mh[0]) >= 3
-
     sf = "/root/testdata/sf0.001"
-    emb = [
-        canon(
-            embedding_near_dup_lsh(sf, threshold_pct=40, num_partitions=p).to_pandas(),
-            ["vec_a", "vec_b"],
+    mh, emb = [], []
+    for p in (None, 2, 7):  # None: the default (one-task) shape
+        if p:
+            shard_shape(p)
+        mh.append(
+            canon(
+                minhash_lsh_pairs(docs, jaccard_threshold=0.6).to_pandas(),
+                ["doc_a", "doc_b", "n_inter", "n_union"],
+            )
         )
-        for p in (2, 7)
-    ]
-    assert emb[0] == emb[1] and len(emb[0]) >= 1
+        emb.append(
+            canon(
+                embedding_near_dup_lsh(sf, threshold_pct=40).to_pandas(),
+                ["vec_a", "vec_b"],
+            )
+        )
+    assert mh[0] == mh[1] == mh[2] and len(mh[0]) >= 3
+    assert emb[0] == emb[1] == emb[2] and len(emb[0]) >= 1
 
 
 def test_minhash_signature_deterministic_and_similar():
@@ -238,7 +239,7 @@ def test_embedding_near_dup_lsh_verify_paths_equal():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_simhash_near_dup_pairs_vs_oracle_and_exact_dups():
+def test_simhash_near_dup_pairs_vs_oracle_and_exact_dups(shard_shape):
     """Pigeonhole banding: recall is exactly 1 by construction, so the
     all-pairs hamming SQL must match bit-for-bit; byte-identical docs
     (hamming 0) must always appear."""
@@ -271,8 +272,9 @@ def test_simhash_near_dup_pairs_vs_oracle_and_exact_dups():
     )
     assert byte_dups <= got_pairs
 
-    # partition-count invariance (the shard fan-out is a parallelism knob)
-    p2 = simhash_near_dup_pairs(sf, num_partitions=3).to_pandas()
+    # shard-count invariance (the shard fan-out is a parallelism knob)
+    shard_shape(3)
+    p2 = simhash_near_dup_pairs(sf).to_pandas()
     assert set(map(tuple, p2[["doc_a", "doc_b"]].itertuples(index=False))) == exact
 
 
@@ -308,7 +310,7 @@ def test_minhash_dedup_clusters_transitive_chain(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_cluster_branches_equal_on_planted_graph():
+def test_cluster_branches_equal_on_planted_graph(shard_shape):
     """The distributed min-label-propagation branch must equal the driver
     union-find on a planted multi-component graph that exceeds the gate:
     a chain (propagation takes diameter iterations), a star, a triangle
@@ -334,9 +336,8 @@ def test_cluster_branches_equal_on_planted_graph():
         }
     )
     want = _clusters_union_find(tbl.to_pandas()).to_pandas()
-    got = _clusters_label_propagation(
-        ray.data.from_arrow(tbl), num_shards=3
-    ).to_pandas()
+    shard_shape(3)
+    got = _clusters_label_propagation(ray.data.from_arrow(tbl)).to_pandas()
     assert got.equals(want)
     assert set(got[got.doc_id >= 10][got.doc_id < 20]["rep_id"]) == {10}
 

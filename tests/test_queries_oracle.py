@@ -49,6 +49,19 @@ def _oracle_names():
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("name", _oracle_names())
 def test_query_matches_oracle(name, con):
+    _check_against_oracle(name, con)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("name", _oracle_names())
+def test_query_matches_oracle_shuffled(name, con, shard_shape):
+    """The same check with every shard exchange forced onto its
+    multi-shard branch at an odd shard count."""
+    shard_shape(7)
+    _check_against_oracle(name, con)
+
+
+def _check_against_oracle(name, con):
     from spider_ray.pipelines.registry import ORACLE_SQL, QUERIES
 
     ray_df = _normalize(QUERIES[name](SF_DIR))

@@ -73,10 +73,11 @@ def test_q3_unknown_segment_is_empty():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_distinct_users_matches_duckdb_at_sf001():
+def test_distinct_users_matches_duckdb_at_sf001(shard_shape):
     from spider_ray.pipelines.relational import distinct_users_per_type
 
-    got = _df(distinct_users_per_type(SF01, num_shards=7))
+    shard_shape(7)
+    got = _df(distinct_users_per_type(SF01))
     want = _df(
         duckdb.sql(
             f"SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users "
@@ -87,7 +88,7 @@ def test_distinct_users_matches_duckdb_at_sf001():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_anti_join_all_and_none(tmp_path):
+def test_anti_join_all_and_none(tmp_path, shard_shape):
     """Two synthetic edges: a lineitem table matching NO orders (every order
     survives) and one matching ALL (empty result)."""
     from spider_ray.pipelines.relational import orders_without_lineitems
@@ -106,14 +107,15 @@ def test_anti_join_all_and_none(tmp_path):
         pa.table({"l_orderkey": np.arange(100, 105, dtype=np.int64)}),
         str(tmp_path / "lineitem.parquet"),
     )
-    out = orders_without_lineitems(str(tmp_path), num_shards=3).to_pandas()
+    shard_shape(3)
+    out = orders_without_lineitems(str(tmp_path)).to_pandas()
     assert sorted(out["o_orderkey"]) == list(range(10))
 
     pq.write_table(
         pa.table({"l_orderkey": np.repeat(okeys, 3)}),
         str(tmp_path / "lineitem.parquet"),
     )
-    out = orders_without_lineitems(str(tmp_path), num_shards=3).to_pandas()
+    out = orders_without_lineitems(str(tmp_path)).to_pandas()
     assert len(out) == 0
 
 
@@ -190,10 +192,11 @@ def test_hll_high_cardinality_regime(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_asof_matches_duckdb_at_sf01():
+def test_asof_matches_duckdb_at_sf01(shard_shape):
     from spider_ray.pipelines.relational import asof_prev_event
 
-    got = _df(asof_prev_event(SF01, num_shards=5))
+    shard_shape(5)
+    got = _df(asof_prev_event(SF01))
     want = _df(
         duckdb.sql(
             f"""WITH l AS (SELECT event_id, user_id, ts
@@ -210,10 +213,11 @@ def test_asof_matches_duckdb_at_sf01():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_range_join_matches_duckdb_at_sf01():
+def test_range_join_matches_duckdb_at_sf01(shard_shape):
     from spider_ray.pipelines.relational import events_range_join
 
-    got = _df(events_range_join(SF01, num_shards=5))
+    shard_shape(5)
+    got = _df(events_range_join(SF01))
     want = _df(
         duckdb.sql(
             f"""WITH l AS (SELECT event_id, user_id, ts
@@ -232,7 +236,7 @@ def test_range_join_matches_duckdb_at_sf01():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_asof_and_range_tie_edges(tmp_path):
+def test_asof_and_range_tie_edges(tmp_path, shard_shape):
     """Crafted edges the sf0.01 data can't guarantee: build rows TIED on
     (user, ts) with different values (the max-reduction rule), a probe
     EXACTLY at a build timestamp (strictness: must not match itself), a
@@ -272,11 +276,12 @@ def test_asof_and_range_tie_edges(tmp_path):
         ),
         str(tmp_path / "events.parquet"),
     )
-    asof = _df(asof_prev_event(str(tmp_path), num_shards=3))
+    shard_shape(3)
+    asof = _df(asof_prev_event(str(tmp_path)))
     assert asof.to_dict("records") == [
         {"event_id": 4, "user_id": 1, "prev_value_c": 900}
     ]
-    rj = _df(events_range_join(str(tmp_path), num_shards=3))
+    rj = _df(events_range_join(str(tmp_path)))
     want = pd.DataFrame(
         {"event_id": [6, 9, 10], "user_id": [2, 3, 1], "n_in_window": [1, 0, 0]}
     )
@@ -287,14 +292,15 @@ def test_asof_and_range_tie_edges(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q3_semi_join_path_equals_broadcast():
+def test_q3_semi_join_path_equals_broadcast(shard_shape):
     """broadcast_customer=False (the no-broadcast shuffle semi-join for a
     fact-sized customer table) must produce the identical top-k at sf0.01,
     including with a shard count that forces multi-row groups."""
     from spider_ray.pipelines.relational import q3_shipping_priority
 
     want = _df(q3_shipping_priority(SF01))
-    got = _df(q3_shipping_priority(SF01, broadcast_customer=False, num_shards=5))
+    shard_shape(5)
+    got = _df(q3_shipping_priority(SF01, broadcast_customer=False))
     pd.testing.assert_frame_equal(got, want)
 
     # empty segment through the semi-join path: schema-typed empty result
@@ -305,7 +311,7 @@ def test_q3_semi_join_path_equals_broadcast():
     assert ds.schema().names == ["o_orderkey", "revenue_c4", "o_orderdate"]
 
 
-def test_running_total_tie_and_shard_edges(tmp_path):
+def test_running_total_tie_and_shard_edges(tmp_path, shard_shape):
     """Crafted window-function edges: ties on (user, ts) broken by event_id,
     negative values (running sum dips), a single-event user, and a shard
     count small enough that users share shards."""
@@ -335,7 +341,8 @@ def test_running_total_tie_and_shard_edges(tmp_path):
         ),
         str(tmp_path / "events.parquet"),
     )
-    got = _df(user_running_total(str(tmp_path), num_shards=2))
+    shard_shape(2)
+    got = _df(user_running_total(str(tmp_path)))
     want = pd.DataFrame(
         {
             "event_id": [2, 3, 5, 7],
@@ -534,7 +541,7 @@ def _write_events(tmp_path, event_id, ts, user_id, event_type, value=None):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_user_event_gaps_ties_and_singletons(tmp_path):
+def test_user_event_gaps_ties_and_singletons(tmp_path, shard_shape):
     """Tied timestamps yield a 0 gap (not a dropped pair), single-event
     users drop entirely, and the per-user reduceat aggregates match the
     lag-window SQL on the same table."""
@@ -554,7 +561,8 @@ def test_user_event_gaps_ties_and_singletons(tmp_path):
         user_id=[1, 1, 1, 2, 3, 3],
         event_type=["a"] * 6,
     )
-    got = _df(user_event_gaps(str(tmp_path), num_shards=3))
+    shard_shape(3)
+    got = _df(user_event_gaps(str(tmp_path)))
     want = duckdb.sql(
         f"""SELECT user_id, CAST(count(*) AS BIGINT) AS n_gaps,
         CAST(sum(g) AS BIGINT) AS sum_gap_us, CAST(max(g) AS BIGINT) AS max_gap_us
@@ -571,7 +579,7 @@ def test_user_event_gaps_ties_and_singletons(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_event_type_transitions_tie_break(tmp_path):
+def test_event_type_transitions_tie_break(tmp_path, shard_shape):
     """Tied timestamps order by event_id on BOTH engines — the pair content
     (unlike the gap multiset) depends on the tie-break, so this pins it."""
     from spider_ray.pipelines.relational import event_type_transitions
@@ -585,7 +593,8 @@ def test_event_type_transitions_tie_break(tmp_path):
         user_id=[1, 1, 1, 2, 2],
         event_type=["A", "B", "C", "A", "A"],
     )
-    got = _df(event_type_transitions(str(tmp_path), num_shards=3))
+    shard_shape(3)
+    got = _df(event_type_transitions(str(tmp_path)))
     want = duckdb.sql(
         f"""SELECT prev_type, event_type, count(*) AS n FROM (
         SELECT event_type, lag(event_type)
@@ -600,7 +609,7 @@ def test_event_type_transitions_tie_break(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_order_lineitem_counts_zero_fill(tmp_path):
+def test_order_lineitem_counts_zero_fill(tmp_path, shard_shape):
     """LEFT OUTER semantics: every order appears exactly once; orders with
     no lineitems carry 0/0, matched orders carry exact count + cents sum."""
     from spider_ray.pipelines.relational import order_lineitem_counts
@@ -620,7 +629,8 @@ def test_order_lineitem_counts_zero_fill(tmp_path):
         ),
         str(tmp_path / "lineitem.parquet"),
     )
-    got = _df(order_lineitem_counts(str(tmp_path), num_shards=4))
+    shard_shape(4)
+    got = _df(order_lineitem_counts(str(tmp_path)))
     want = duckdb.sql(
         f"""SELECT o_orderkey, CAST(coalesce(l.n, 0) AS BIGINT) AS n_items,
         CAST(coalesce(l.s, 0) AS BIGINT) AS sum_qty_c
@@ -807,7 +817,7 @@ def test_source_lang_rollup_levels(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_latest_event_tie_break(tmp_path):
+def test_latest_event_tie_break(tmp_path, shard_shape):
     """Two events on the same (user, ts) resolve to the larger event_id —
     the documented argmax tie-break — and the whole output matches the
     row_number SQL on the same synthetic table."""
@@ -826,7 +836,8 @@ def test_latest_event_tie_break(tmp_path):
         user_id=[1, 1, 2, 2, 2],
         event_type=["a", "b", "c", "d", "e"],
     )
-    got = _df(latest_event_per_user(str(tmp_path), num_shards=3))
+    shard_shape(3)
+    got = _df(latest_event_per_user(str(tmp_path)))
     con = duckdb.connect()
     con.execute(
         f"CREATE VIEW events AS SELECT * FROM read_parquet('{tmp_path}/events.parquet')"
@@ -860,7 +871,7 @@ def test_bloom_semi_join_exact_under_heavy_false_positives():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q5_empty_date_window_and_odd_shards():
+def test_q5_empty_date_window_and_odd_shards(shard_shape):
     """A zero-width order-date window yields an empty (schema-stable)
     result; an odd shard count changes nothing (partition invariance)."""
     from spider_ray.pipelines.relational import q5_revenue_by_nation
@@ -871,8 +882,10 @@ def test_q5_empty_date_window_and_odd_shards():
     assert len(empty) == 0
     # (an all-empty Dataset surfaces as a zero-column frame through
     # to_pandas — ray's empty-block schema erasure; row count is the claim)
-    a = _df(q5_revenue_by_nation(SF001, num_shards=3))
-    b = _df(q5_revenue_by_nation(SF001, num_shards=16))
+    shard_shape(3)
+    a = _df(q5_revenue_by_nation(SF001))
+    shard_shape(16)
+    b = _df(q5_revenue_by_nation(SF001))
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -916,7 +929,7 @@ def test_repeat_buyers_requires_both_types(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_funnel_strictness_and_order(tmp_path):
+def test_funnel_strictness_and_order(tmp_path, shard_shape):
     """Same-ts steps do NOT chain (strict >); steps out of order do not
     count; a chain spanning the user's whole history does."""
     from spider_ray.pipelines.relational import signup_click_purchase_funnel
@@ -940,7 +953,8 @@ def test_funnel_strictness_and_order(tmp_path):
             "signup", "click", "view", "purchase",
         ],
     )
-    got = _df(signup_click_purchase_funnel(str(tmp_path), num_shards=3))
+    shard_shape(3)
+    got = _df(signup_click_purchase_funnel(str(tmp_path)))
     assert got["user_id"].tolist() == [3]
 
 
@@ -1007,7 +1021,7 @@ def test_heavy_hitters_planted_and_vs_exact(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_moving_sum_bounded_frame(tmp_path):
+def test_moving_sum_bounded_frame(tmp_path, shard_shape):
     """ROWS BETWEEN 2 PRECEDING AND CURRENT ROW: short groups clamp at the
     group start (never read a previous user's rows), tied timestamps order
     by event_id, and non-matching event types are filtered before the
@@ -1030,7 +1044,8 @@ def test_moving_sum_bounded_frame(tmp_path):
         event_type=["purchase"] * 5 + ["click", "purchase"],
         value=[1.0, 2.0, 4.0, 8.0, 5.0, 99.0, 7.0],
     )
-    got = _df(user_value_moving_sum(str(tmp_path), num_shards=3))
+    shard_shape(3)
+    got = _df(user_value_moving_sum(str(tmp_path)))
     want = _df(
         duckdb.sql(
             f"""SELECT event_id, user_id,
@@ -1182,10 +1197,10 @@ def test_q18_having_strictness(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_top_bigrams_adjacency_and_ties(tmp_path):
+def test_top_bigrams_adjacency_and_ties(tmp_path, shard_shape):
     """Bigrams never cross documents, empty-token pairs drop (double
     space breaks adjacency), the tie-break is (n DESC, w1, w2), and the
-    sharded path (num_shards > 1) equals the DuckDB list_zip oracle."""
+    sharded path (several shards) equals the DuckDB list_zip oracle."""
     from spider_ray.pipelines.textops import top_bigrams
 
     pq.write_table(
@@ -1199,7 +1214,8 @@ def test_top_bigrams_adjacency_and_ties(tmp_path):
         ),
         str(tmp_path / "documents.parquet"),
     )
-    got = top_bigrams(str(tmp_path), k=10, num_shards=5).to_pandas()
+    shard_shape(5)
+    got = top_bigrams(str(tmp_path), k=10).to_pandas()
     want = duckdb.sql(
         f"""WITH p AS (SELECT unnest(list_zip(ws, ws[2:])) AS z
         FROM (SELECT string_split(text, ' ') AS ws
@@ -1380,3 +1396,33 @@ def test_length_queries_on_empty_documents(tmp_path):
     assert ranks.count() == 0
     quant = length_quantiles_by_source(str(tmp_path))
     assert quant.num_rows == 0 and quant.column_names == ["source", "p50", "p90"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_mode_lang_two_level_merge_keeps_losing_partials(tmp_path, monkeypatch):
+    """mode_lang_per_source above final_merge's row threshold: a lang that
+    loses one block's partial count but wins the total must still win
+    (the argmax may only see COMPLETE counts)."""
+    import spider_ray.blockutil as B
+    from spider_ray.pipelines.relational import mode_lang_per_source
+
+    # 8 part files = 8 blocks: lang 'a' has 2 docs of source s in every
+    # block (16 in all), lang 'b' has 15 in block 0 only; source t is a
+    # plain single-block majority
+    d = tmp_path / "documents.parquet"
+    d.mkdir()
+    for i in range(8):
+        langs = ["a", "a"] + (["b"] * 15 if i == 0 else [])
+        src = ["s"] * len(langs) + ["t"] * 3
+        langs += ["c", "c", "d"]
+        pq.write_table(
+            pa.table({"source": pa.array(src), "lang": pa.array(langs)}),
+            d / f"part-{i}.parquet",
+        )
+    orig = B.final_merge
+    monkeypatch.setattr(
+        B, "final_merge", lambda *a, **k: orig(*a, **{**k, "threshold_rows": 1})
+    )
+    got = _df(mode_lang_per_source(str(tmp_path)))
+    rows = sorted(zip(got["source"], got["lang"], got["n_docs"]))
+    assert rows == [("s", "a", 16), ("t", "c", 16)]
