@@ -33,20 +33,13 @@ def drop_empty_blocks(ds: Dataset, empty_schema: pa.Schema | None = None) -> Dat
     """Materialize ``ds`` and rebuild it from its non-empty block refs only
     (block METADATA is inspected, blocks are never fetched to the driver).
 
-    EVERY ``Dataset.join`` input must pass through here (ray 2.49): the
-    hash-shuffle operator broadcasts each input's schema to the aggregators
-    via empty blocks piggybacked on the FIRST submitted shuffle task
-    (hash_shuffle.py:584 ``send_empty_blocks=should_broadcast_schemas``),
-    but a shuffle task whose input block is empty returns early WITHOUT
-    sending anything (hash_shuffle.py:223) — so when an empty block happens
-    to be the first one submitted, partitions that receive no data rows get
-    ZERO-COLUMN tables and Arrow's join raises ``No match or multiple
-    matches for key field reference``. Block arrival order is
-    load-dependent, which made this a flake. Related: the hash-aggregate
-    itself emits zero-column blocks for empty output partitions, and
-    ``map_batches`` skips empty blocks entirely, so they cannot be
-    normalized by a downstream transform — dropping the blocks is the only
-    reliable fix."""
+    Ray Data's sort and hash exchanges emit ZERO-COLUMN blocks for output
+    partitions that receive no rows, and ``map_batches`` skips empty blocks
+    entirely, so a downstream transform cannot normalize them: a consumer
+    that reads columns off every block (a ``union``, ``to_pandas`` of an
+    all-empty result, a schema probe) meets a table with no columns.
+    Dropping the blocks is the only reliable fix; with no rows left the
+    result is ``empty_schema``'s empty table."""
     mds, refs, _, _ = _live_blocks(ds)
     if not refs:
         if empty_schema is None:
@@ -172,13 +165,13 @@ def merge_keyed_sums(
     )
 
 
-def default_shuffle_partitions(floor: int = 4, cap: int = 256) -> int:
-    """Join/aggregate fan-out scaled to the cluster: ~one hash partition per
-    CPU, floored and capped. A hard-coded ``num_partitions=4`` is right at
+def default_shuffle_partitions() -> int:
+    """Exchange fan-out scaled to the cluster: ~one hash partition per CPU,
+    at least 4 and at most 256. A hard-coded ``num_partitions=4`` is right at
     sf0.1 on one node but funnels every shuffle of a 256-node cluster
     through 4 reducers; deriving it from ``cluster_resources`` keeps reducer
     parallelism proportional to the machine."""
-    return max(floor, min(cap, int(ray.cluster_resources().get("CPU", 4))))
+    return max(4, min(256, int(ray.cluster_resources().get("CPU", 4))))
 
 
 # shard_exchange runs one task at or below this many input rows, and about
@@ -214,10 +207,15 @@ def _key_hash(t: pa.Table, key: str | list[str]) -> np.ndarray:
     return h
 
 
-def _exchange(base: Dataset, rows: int, nbytes: int, key, fn, batch_format: str) -> Dataset:
+def _exchange(
+    base: Dataset, rows: int, nbytes: int, key, fn, batch_format: str, out_schema: pa.Schema
+) -> Dataset:
     """Run ``fn`` over ``base`` (``rows`` > 0 non-empty rows, ``nbytes``
     bytes) with every ``key`` group inside one call: one task when the input
-    is small, else a sort exchange on a hashed int shard column."""
+    is small, else a sort exchange on a hashed int shard column. The sort
+    leaves a zero-column block for every partition that got no rows, so the
+    multi-shard result keeps only its non-empty blocks (``out_schema``'s
+    empty table when ``fn`` kept nothing)."""
     n = min(
         default_shuffle_partitions(),
         max(-(-rows // _ROWS_PER_SHARD), -(-nbytes // _BYTES_PER_SHARD)),
@@ -238,10 +236,11 @@ def _exchange(base: Dataset, rows: int, nbytes: int, key, fn, batch_format: str)
             return fn(g.drop(columns=["_s"]))
         return fn(g.drop_columns(["_s"]))
 
-    return (
+    return drop_empty_blocks(
         base.map_batches(add_shard, batch_format="pyarrow")
         .groupby("_s", num_partitions=n)
-        .map_groups(per_shard, batch_format=batch_format)
+        .map_groups(per_shard, batch_format=batch_format),
+        out_schema,
     )
 
 
@@ -262,11 +261,12 @@ def shard_exchange(ds: Dataset, key: str | list[str], fn, out_schema: pa.Schema)
     n-valued int column is the cheap kind of sort shuffle (a
     ``repartition(keys=...)`` needs the HASH_SHUFFLE strategy, measured 12×
     slower here, and ``Dataset.join`` spawns an actor fleet per call).
-    Zero rows give ``out_schema``'s empty table without calling ``fn``."""
+    Zero rows give ``out_schema``'s empty table without calling ``fn``, and
+    no block of the result is a zero-column empty one."""
     _, refs, rows, nbytes = _live_blocks(ds)
     if not rows:
         return ray.data.from_arrow(out_schema.empty_table())
-    return _exchange(ray.data.from_arrow_refs(refs), rows, nbytes, key, fn, "pandas")
+    return _exchange(ray.data.from_arrow_refs(refs), rows, nbytes, key, fn, "pandas", out_schema)
 
 
 @ray.remote
@@ -331,7 +331,9 @@ def shard_join(
             )
         )
 
-    return _exchange(tagged, rows, sides[0][2] + sides[1][2], key, split, "pyarrow")
+    return _exchange(
+        tagged, rows, sides[0][2] + sides[1][2], key, split, "pyarrow", out_schema
+    )
 
 
 def attach_payload(
@@ -350,9 +352,10 @@ def attach_payload(
 
     Why not ``Dataset.join``: ray 2.49's join is a hash-shuffle operator that
     spawns ``num_partitions`` aggregator ACTORS per join per execution (three
-    joins cost three fleet spawns — measured ~2-3 s each on this host even
-    warm), and its schema broadcast makes empty input blocks a load-order
-    flake (see drop_empty_blocks). The shard exchange needs neither: no
+    joins cost three fleet spawns — measured ~2-3 s each even warm), and
+    its schema broadcast made an empty input block a load-order flake
+    (partitions with no rows came out zero-column, and Arrow's join raised
+    on them). The shard exchange needs neither: no
     actors, a vectorized pandas merge per shard. Measured 3× faster
     end-to-end on the minhash pipeline at sf0.1.
 

@@ -417,8 +417,8 @@ def minhash_lsh_pairs(docs: Dataset | str, jaccard_threshold: float = 0.8) -> Da
     # expansion) — one Python call per shard, never per bucket or per pair. ray 2.49's join is a hash-shuffle ACTOR fleet per
     # execution (~2-3 s spawn each, measured) and its empty-block schema
     # broadcast is a load-order flake that forces a full materialization of
-    # every input (see blockutil.drop_empty_blocks); the groupby shape needs
-    # neither. Caveat (same as the join had): a degenerate bucket of m
+    # every input (an empty first block leaves partitions zero-column); the
+    # exchange needs neither. Caveat (same as the join had): a degenerate bucket of m
     # near-identical docs emits m(m-1)/2 pairs — the pair CONTRACT is
     # quadratic in duplicate-cluster size by definition.
     bands = sk.map_batches(to_bands, batch_format="pyarrow")

@@ -16,6 +16,10 @@ Batch sizing note for real payloads: images/audio are MBs per row — pass a
 SMALL ``batch_size`` (e.g. 32) and let ``concurrency × batch_size × row
 size`` bound per-actor heap; blocks of wide binary rows also warrant a lower
 ``DataContext.target_max_block_size``.
+
+The actor pools scale between one and two one-CPU actors
+(``concurrency=(1, 2)``): a fixed pool of two never returned on a 2-CPU
+session. A 1-CPU session still does not return.
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ def image_meta_stub(sf_dir: str) -> Dataset:
         FakeDecoder,
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
+        concurrency=(1, 2),
         num_cpus=1,
     )
 
@@ -179,7 +183,7 @@ def frame_sample(sf_dir: str, every: int = 3, restartable: bool = True) -> Datas
         FrameSampler,
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
+        concurrency=(1, 2),
         num_cpus=1,
         **kwargs,
     )
@@ -248,6 +252,6 @@ def audio_meta_stub(sf_dir: str) -> Dataset:
         AudioProbe,
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
+        concurrency=(1, 2),
         num_cpus=1,
     )

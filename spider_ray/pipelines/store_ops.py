@@ -220,29 +220,82 @@ def compact_store(out_dir: str, target_rows_per_file: int = 500_000) -> int:
     return n
 
 
+def _first_row_per_url(rows: Dataset, pref: str) -> Dataset:
+    """One store row per url: the row with the smallest ``pref``, as
+    ``STORE_SCHEMA`` Arrow. A ``shard_exchange`` on url puts every copy of
+    a url in one kernel call, which sorts by ``pref`` and keeps each url's
+    first row — so byte-identical copies (a retry-duplicated part file:
+    same url and rank) collapse to one row as well."""
+    import pyarrow as pa
+
+    from spider_ray.blockutil import shard_exchange
+    from spider_ray.stages.expand import STORE_SCHEMA
+
+    def first(d: pd.DataFrame) -> pa.Table:
+        d = d.sort_values(pref, kind="stable").drop_duplicates("url")
+        return pa.Table.from_pandas(
+            d[STORE_SCHEMA.names], schema=STORE_SCHEMA, preserve_index=False
+        ).replace_schema_metadata(None)
+
+    return shard_exchange(rows, "url", first, STORE_SCHEMA)
+
+
+def finalize_store(store_root: str, out_path: str) -> None:
+    """Optional exactness net after task retries: rewrite the store keeping
+    one row per url (min discovery_rank — ranks are unique per crawl, so it
+    alone identifies the winner). Reference analog: the DB's UNIQUE(url)
+    upsert (schema.py:15, postgres_database.py:122-131)."""
+    from spider_ray.blockutil import read_clean_parquet
+    from spider_ray.state.seen import url_hash_batch
+
+    rows = read_clean_parquet(store_root)
+    # Write to a tmp dir and promote only after the invariant check below
+    # passes — raising with out_path already populated would leave a
+    # duplicate-bearing directory a retry or careless caller could consume
+    # (the same tmp+rename convention as the store part writer).
+    building = out_path.rstrip("/") + ".building"
+    shutil.rmtree(building, ignore_errors=True)
+    _first_row_per_url(rows, "discovery_rank").write_parquet(building)
+    # Safety check outside the exchange: exactly one row per distinct url
+    # of the input (counted by 64-bit url hash, 8 B per url on the driver;
+    # a collision, odds ~n²/2^65, would fail it falsely) must survive. A
+    # violation means a url's rows were split across kernel calls or
+    # dropped; fail loudly rather than ship duplicates from an "exactness
+    # net".
+    def url_hashes(t) -> dict:
+        return {"h": np.unique(url_hash_batch(t.column("url").to_numpy(zero_copy_only=False)))}
+
+    hashes = read_clean_parquet(store_root, columns=["url"]).map_batches(
+        url_hashes, batch_format="pyarrow", batch_size=None
+    )
+    parts = [b["h"] for b in hashes.iter_batches(batch_format="numpy", batch_size=None)]
+    n_urls = len(np.unique(np.concatenate(parts))) if parts else 0
+    n_out = ray.data.read_parquet(building).count()
+    if n_out != n_urls:
+        shutil.rmtree(building, ignore_errors=True)
+        raise RuntimeError(
+            f"finalize_store invariant violated: {n_out} rows written for "
+            f"{n_urls} urls — the url exchange did not keep exactly one row "
+            "per url"
+        )
+    shutil.rmtree(out_path, ignore_errors=True)
+    os.replace(building, out_path)
+
+
 def reconcile_stores(old_dir: str, new_dir: str, out_path: str, overwrite: bool = True) -> Dataset:
     """Cross-run upsert (S3): re-crawl reconciliation with the reference's
     overwrite flag semantics (postgres_database.py:104-142,162-182 —
-    ON CONFLICT(url) DO UPDATE when overwrite, keep-old when not).
-    Implemented FULLY VECTORIZED (no per-group Python — a 10^10-url store
-    cannot afford one pandas call per url): the winner preference
-    ``(preferred generation first, then min discovery_rank)`` is encoded
-    into ONE int64 key (the claim-key trick from stages/claim.py), the
-    per-url winner is a plain ``groupby(url).min(_k)`` aggregate, and the
-    winning rows are recovered by an inner hash JOIN on ``(url, _k)`` —
-    exact because ``_k`` is unique per (url, generation, rank). The winner
-    is the new row when ``overwrite`` else the old row (deterministic
-    tie-break by discovery_rank within a generation, for stores that hold
-    duplicate urls — --no-cache crawls or retry-duplicated parts). The new
+    ON CONFLICT(url) DO UPDATE when overwrite, keep-old when not). The
+    winner preference ``(preferred generation first, then min
+    discovery_rank)`` is encoded into ONE int64 key ``_k`` (the claim-key
+    trick from stages/claim.py), and ``_first_row_per_url`` keeps each
+    url's row with the smallest ``_k``. The winner is the new row when
+    ``overwrite`` else the old row (deterministic tie-break by
+    discovery_rank within a generation, for stores that hold duplicate
+    urls — --no-cache crawls or retry-duplicated parts). The new
     generation's ranks are offset past the old generation's maximum so the
     merged store keeps UNIQUE discovery_ranks (catch/canonical ordering
     stay deterministic across re-crawls)."""
-    import pyarrow as pa
-
-    from ray.data.aggregate import Min
-
-    from spider_ray.blockutil import drop_empty_blocks
-
     old_ds = read_store(old_dir)
     probe = read_store(old_dir, columns=["discovery_rank"])  # offset probe
     # scans ranks only, not the page text
@@ -256,43 +309,12 @@ def reconcile_stores(old_dir: str, new_dir: str, out_path: str, overwrite: bool 
         pref = 0 if gen == want else 1
 
         def f(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.assign(_gen=gen)
-            if gen == 1:
-                b["discovery_rank"] = b["discovery_rank"] + rank_offset
-            b["_k"] = (pref << _GEN_SHIFT) | b["discovery_rank"].astype("int64")
-            return b
+            rank = b["discovery_rank"].astype("int64") + (rank_offset if gen == 1 else 0)
+            return b.assign(discovery_rank=rank, _k=(pref << _GEN_SHIFT) | rank)
 
         return f
 
     old = old_ds.map_batches(keyed(0), batch_format="pandas")
     new = read_store(new_dir).map_batches(keyed(1), batch_format="pandas")
-    # every join input must be empty-block-free (blockutil docstring); the
-    # join shuffle materializes the same rows anyway
-    rows = drop_empty_blocks(old.union(new))
-
-    winners = rows.groupby("url").aggregate(Min("_k", alias_name="_k"))
-    winners = drop_empty_blocks(
-        winners, pa.schema([("url", pa.string()), ("_k", pa.int64())])
-    )
-    from spider_ray.blockutil import default_shuffle_partitions
-
-    merged = rows.join(
-        winners,
-        join_type="inner",
-        num_partitions=default_shuffle_partitions(floor=8),
-        on=("url", "_k"),
-    )
-
-    # a store holding byte-identical duplicate rows (same url AND rank —
-    # e.g. a duplicated part file) matches the winning _k once per copy and
-    # the join keeps every copy; the join output is hash-partitioned on
-    # (url, _k), so all copies of a key share one block and a per-block
-    # dedup is exact (batch_size=None → whole block per batch)
-    def drop_dup(b: pd.DataFrame) -> pd.DataFrame:
-        return b.drop_duplicates(subset=["url", "_k"])
-
-    merged = merged.map_batches(
-        drop_dup, batch_format="pandas", batch_size=None
-    ).drop_columns(["_gen", "_k"])
-    merged.write_parquet(out_path)
+    _first_row_per_url(old.union(new), "_k").write_parquet(out_path)
     return ray.data.read_parquet(out_path)

@@ -23,9 +23,9 @@ The store part file is the reference's fire-and-forget ``db.save``
 (crawler.py:106-112) made durable AND retry-idempotent: the part file name
 is derived from the batch's content (md5 of its discovery_ranks — globally
 unique within a crawl), so a task retried by Ray after its rename rewrites
-the SAME file via tmp+rename instead of duplicating rows. ``finalize_store``
-remains as a belt-and-braces net for exactness under adversarial failure
-modes (e.g. a retry that re-batches differently).
+the SAME file via tmp+rename instead of duplicating rows.
+``store_ops.finalize_store`` remains as a belt-and-braces net for exactness
+under adversarial failure modes (e.g. a retry that re-batches differently).
 
 HTML parsing is irreducibly per-document Python (stdlib html.parser, no
 vectorized kernel exists); the loop is over a batch inside one task, with
@@ -211,88 +211,3 @@ def add_host_column(batch: pa.Table, url_col: str = "url") -> pa.Table:
     m = pc.extract_regex(batch.column(url_col), _HOST_RE)
     host = pc.struct_field(m, "host")
     return batch.append_column("host", pc.fill_null(host, ""))
-
-
-def finalize_store(store_root: str, out_path: str) -> None:
-    """Optional exactness net after task retries: rewrite the store keeping
-    one row per url (min discovery_rank). Reference analog: the DB's
-    UNIQUE(url) upsert (schema.py:15, postgres_database.py:122-131).
-
-    FULLY VECTORIZED (the reconcile_stores claim-key shape — no per-group
-    Python; the previous ``groupby(url).map_groups(head(1))`` paid one
-    pandas call per url, 10^10 at the design point): the per-url winner is
-    a plain ``groupby(url).min(discovery_rank)`` aggregate (ranks are
-    unique per crawl, so min rank alone identifies the winning row), the
-    winning rows come back via an inner hash JOIN on
-    ``(url, discovery_rank)``, and byte-identical duplicate rows (a
-    retry-duplicated part file: same url AND rank) are dropped per BLOCK —
-    exact because the join output is hash-partitioned on its key, so every
-    copy of a key shares one block."""
-    import ray
-    from ray.data.aggregate import Min
-
-    from spider_ray.blockutil import (
-        default_shuffle_partitions,
-        drop_empty_blocks,
-        read_clean_parquet,
-    )
-
-    rows = drop_empty_blocks(read_clean_parquet(store_root))
-    winners = drop_empty_blocks(
-        rows.groupby("url").aggregate(Min("discovery_rank", alias_name="discovery_rank")),
-        pa.schema([("url", pa.string()), ("discovery_rank", pa.int64())]),
-    )
-    n_urls = winners.count()
-    merged = rows.join(
-        winners,
-        join_type="inner",
-        num_partitions=default_shuffle_partitions(floor=8),
-        on=("url", "discovery_rank"),
-    )
-
-    def norm(b: pa.Table) -> pa.Table:
-        # per-block exact dedup of retry copies, keyed on discovery_rank
-        # ALONE (ranks are globally unique per crawl, so equal rank ⇒ the
-        # byte-identical retry copy — no url strings materialize), plus
-        # STORE_SCHEMA-pinned column order/types (join output column order
-        # is join-internal). int64 sort + adjacent-compare, no Python rows.
-        ranks = b.column("discovery_rank").to_numpy()
-        order = np.argsort(ranks, kind="stable")
-        dup = np.zeros(len(ranks), dtype=bool)
-        dup[order[1:]] = ranks[order[1:]] == ranks[order[:-1]]
-        if dup.any():
-            b = b.filter(pa.array(~dup))
-        return pa.Table.from_arrays(
-            [b.column(f.name).cast(f.type) for f in STORE_SCHEMA], schema=STORE_SCHEMA
-        )
-
-    # Write to a tmp dir and promote only after the invariant check below
-    # passes — raising with out_path already populated would leave a
-    # duplicate-bearing directory a retry or careless caller could consume
-    # (the same tmp+rename convention as the store part writer above).
-    import shutil
-
-    building = out_path.rstrip("/") + ".building"
-    shutil.rmtree(building, ignore_errors=True)
-    merged.map_batches(norm, batch_format="pyarrow", batch_size=None).write_parquet(
-        building
-    )
-    # The per-BLOCK dedup above relies on Ray's hash-join placing all rows
-    # of one key in one output block (true in ray 2.49; join finalize emits
-    # one block per hash partition). That is an internal, not a contract —
-    # so verify the global invariant OUTSIDE the assumption: exactly one
-    # row per url must survive. A violation means the block layout changed
-    # under us; fail loudly rather than ship duplicates from an "exactness
-    # net".
-    import ray
-
-    n_out = ray.data.read_parquet(building).count()
-    if n_out != n_urls:
-        shutil.rmtree(building, ignore_errors=True)
-        raise RuntimeError(
-            f"finalize_store invariant violated: {n_out} rows written for "
-            f"{n_urls} urls — Ray's join no longer co-locates key copies "
-            "per block; the per-block dedup in norm() needs a keyed shuffle"
-        )
-    shutil.rmtree(out_path, ignore_errors=True)
-    os.replace(building, out_path)

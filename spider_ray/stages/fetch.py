@@ -27,37 +27,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-
-def _url_hash_batch(urls) -> np.ndarray:
-    """Vectorized 64-bit url hash (pandas' C siphash via
-    ``pd.util.hash_array`` — deterministic across processes: the key is
-    pandas' fixed default). Replaces a per-string ``hashlib.blake2b`` call
-    inside ``np.fromiter`` — the biggest remaining constant on the fetch
-    hot path (paid per frontier row per round and per corpus row at index
-    build). Only invariants required of the hash: 64-bit, identical on the
-    index-build and lookup sides (collisions are verified away by url
-    equality in ``_CorpusIndex._resolve``)."""
-    import pandas as pd
-
-    arr = np.asarray(urls, dtype=object)
-    return pd.util.hash_array(arr, categorize=False).astype(np.uint64)
-
-
-def _url_hash64(u: str) -> int:
-    """Scalar view of ``_url_hash_batch`` (tests / single-url probes)."""
-    return int(_url_hash_batch([u])[0])
-
-
-# pd.util.hash_array is an implementation detail of pandas, not a stable
-# contract. Two distinct skew risks are guarded by hashing this sentinel URL:
-#   - PERSISTED index vs current process (a pandas upgrade between runs) —
-#     load_corpus_ref stores the sentinel hash in the npz and rebuilds on
-#     mismatch;
-#   - DRIVER (index build) vs WORKER (lookup) within one run (a real cluster
-#     with version-skewed nodes) — the sentinel hash ships inside the
-#     broadcast payload and _CorpusIndex re-derives it per worker, so skew
-#     fails loudly instead of silently resolving every url as a miss.
-_SENTINEL_URL = "spider-ray-hash-sentinel-v2"
+from spider_ray.state.seen import HASH_SENTINEL_URL, url_hash_batch
 
 
 class _CorpusIndex:
@@ -75,10 +45,10 @@ class _CorpusIndex:
     def __init__(self, payload):
         tbl, self._hashes, self._rows, *rest = payload
         if rest:
-            # broadcast sentinel (see _SENTINEL_URL): this process's hash
-            # function must reproduce the index builder's values, or every
-            # lookup would silently miss
-            here = _url_hash_batch([_SENTINEL_URL])[0]
+            # broadcast sentinel (see seen.HASH_SENTINEL_URL): this
+            # process's hash function must reproduce the index builder's
+            # values, or every lookup would silently miss
+            here = url_hash_batch([HASH_SENTINEL_URL])[0]
             if here != rest[0]:
                 raise RuntimeError(
                     "url-hash implementation skew between the index builder "
@@ -116,7 +86,7 @@ class _CorpusIndex:
     def _resolve(self, burls: list[str]) -> np.ndarray:
         """Corpus row per url, -1 for misses."""
         n = len(self._hashes)
-        bh = _url_hash_batch(burls)
+        bh = url_hash_batch(burls)
         pos = np.searchsorted(self._hashes, bh)
         out = np.full(len(burls), -1, dtype=np.int64)
         in_range = pos < n
@@ -329,11 +299,11 @@ def load_corpus_ref(corpus_path: str):
     # rebuild instead of silently missing every lookup. The same sentinel
     # also rides the broadcast payload so RUNTIME driver/worker skew fails
     # loudly too (see _CorpusIndex.__init__).
-    sentinel = _url_hash_batch([_SENTINEL_URL])[0]
+    sentinel = url_hash_batch([HASH_SENTINEL_URL])[0]
 
     def _build_index(tbl):
         urls = tbl.column("url").to_numpy(zero_copy_only=False)
-        hashes = _url_hash_batch(urls)
+        hashes = url_hash_batch(urls)
         order = np.argsort(hashes, kind="stable").astype(np.int64)
         return hashes[order], order
 

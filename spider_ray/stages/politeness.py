@@ -24,10 +24,12 @@ computed in two vectorized stages:
    contributes ≤ b × n_blocks candidate rows per host, spread across tasks;
 2. per-host reduce over the REDUCED candidates picks the b-th smallest rank.
 
-The thresholds table is one row per THROTTLED host. It is applied as a
-broadcast dict when small (≤ ``broadcast_limit`` hosts — always true in this
-sandbox) and as a left-outer hash JOIN on host beyond that (the 10^8-host
-path); both paths are tested equal.
+The reduce is one ``blockutil.shard_exchange`` on host (every candidate of
+a host lands in one kernel call). The thresholds table is one row per
+THROTTLED host. It is applied as a broadcast dict when small (at most
+``_BROADCAST_LIMIT`` hosts — every frontier of a sandbox-sized crawl) and as
+a ``shard_join`` of the frontier with the thresholds on host beyond that (the
+10^8-host path); both paths are tested equal.
 """
 
 from __future__ import annotations
@@ -38,14 +40,29 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from spider_ray.blockutil import shard_exchange, shard_join
+
+# hosts whose thresholds are broadcast as a dict; past it the frontier is
+# joined with the thresholds through a shard exchange on host
 _BROADCAST_LIMIT = 1_000_000
+
+_THRESHOLD_SCHEMA = pa.schema([("host", pa.string()), ("_thr", pa.int64())])
+
+
+def _flag(batch: pd.DataFrame, thr) -> pa.Table:
+    """``batch`` plus ``_fetch_now``: true for an unthrottled host (no
+    threshold in ``thr``, a host → threshold mapping) or a rank at or below
+    its host's threshold. Metadata-free Arrow out (the b'pandas' blob
+    breaks hash(Schema) in downstream coalesces / the frontier union)."""
+    t = batch["host"].map(thr)
+    batch = batch.assign(_fetch_now=(t.isna() | (batch["rank"] <= t)))
+    return pa.Table.from_pandas(batch, preserve_index=False).replace_schema_metadata(None)
 
 
 def politeness_split(
     pending: Dataset,
     per_host_budget: int | None,
     host_budgets: dict[str, int] | None = None,
-    broadcast_limit: int = _BROADCAST_LIMIT,
 ) -> tuple[Dataset, Dataset]:
     """→ (fetch_now, deferred). With no budget at all, everything fetches
     now. ``host_budgets`` (e.g. derived from robots crawl_delay_ms —
@@ -58,40 +75,23 @@ def politeness_split(
     overrides = host_budgets or {}
     max_budget = max([budget or 0, *overrides.values()])
 
-    from spider_ray.blockutil import default_shuffle_partitions
-
-    num_shards = default_shuffle_partitions()
-
-    def partial_topb(batch: pd.DataFrame) -> pd.DataFrame:
+    def partial_topb(batch: pd.DataFrame) -> pa.Table:
         d = batch[["host", "rank"]]
         if budget is None:
             # only override hosts are throttled — everything else is
             # irrelevant to threshold computation
             d = d[d["host"].isin(overrides)]
-        if not len(d):
-            return pd.DataFrame(
-                {
-                    "_shard": pd.Series([], dtype=np.int64),
-                    "host": pd.Series([], dtype=object),
-                    "rank": pd.Series([], dtype=np.int64),
-                }
-            )
         d = d.sort_values(["host", "rank"])
         idx = d.groupby("host", sort=False).cumcount()
         # keep ≥1 row per throttled host even when every budget is 0, so the
         # host still reaches the threshold reduce (which then defers it)
         d = d[idx < max(max_budget, 1)]
-        # shard by host hash: one host lands wholly in one shard, so the
-        # b-th-smallest reduce is exact per shard
-        shard = (pd.util.hash_array(d["host"].to_numpy()) % num_shards).astype(np.int64)
-        return pd.DataFrame(
-            {"_shard": shard, "host": d["host"], "rank": d["rank"]}
-        )
+        return pa.Table.from_pandas(d, preserve_index=False).replace_schema_metadata(None)
 
     cand = pending.map_batches(partial_topb, batch_format="pandas")
 
-    def shard_thresholds(g: pd.DataFrame) -> pd.DataFrame:
-        """ONE vectorized pass per shard (never per host): lexsort by
+    def shard_thresholds(g: pd.DataFrame) -> pa.Table:
+        """ONE vectorized pass per call (never per host): lexsort by
         (host, rank), find host boundaries, index the b-th smallest rank of
         each host. b ≤ 0 (a host_budgets override meaning 'skip this
         round') → threshold -1: ranks are non-negative, so every row of
@@ -114,25 +114,15 @@ def politeness_split(
             b = np.full(len(g_hosts), budget, dtype=np.int64)
         eff = np.minimum(b, sizes) - 1
         thr = np.where(eff >= 0, ranks[starts + np.maximum(eff, 0)], -1)
-        # metadata-free Arrow out: a pandas-built block carries the
-        # b'pandas' schema blob, which breaks hash(Schema) in every
-        # downstream coalesce (see blockutil.strip_schema_metadata)
         return pa.table(
-            {"host": pa.array(g_hosts, pa.string()), "_thr": pa.array(thr.astype(np.int64))}
+            {"host": pa.array(g_hosts, pa.string()), "_thr": pa.array(thr.astype(np.int64))},
+            schema=_THRESHOLD_SCHEMA,
         )
 
     # per-host candidate sets are ≤ max_budget × n_blocks rows — bounded
     # even at 100 % skew (this reduce runs over the reduced candidates,
     # never the frontier)
-    from spider_ray.blockutil import drop_empty_blocks
-
-    thresholds = cand.groupby("_shard").map_groups(
-        shard_thresholds, batch_format="pandas"
-    )
-    # drop columnless empty partition blocks — they break the join path
-    thresholds = drop_empty_blocks(
-        thresholds, pa.schema([("host", pa.string()), ("_thr", pa.int64())])
-    )
+    thresholds = shard_exchange(cand, "host", shard_thresholds, _THRESHOLD_SCHEMA).materialize()
     n_hosts = thresholds.count()
     if n_hosts == 0:
         # no throttled host present in this round's frontier (e.g. override
@@ -142,37 +132,26 @@ def politeness_split(
         # and keeps its presplit fast path)
         return pending, None
 
-    if n_hosts <= broadcast_limit:
+    if n_hosts <= _BROADCAST_LIMIT:
         tbl = thresholds.to_pandas()
         thr_ref = ray.put(dict(zip(tbl["host"], tbl["_thr"].astype(np.int64))))
 
-        def flag(batch: pd.DataFrame) -> pd.DataFrame:
+        def flag(batch: pd.DataFrame) -> pa.Table:
             from spider_ray.stages.broadcast import get_broadcast
 
-            thr = get_broadcast(thr_ref)
-            t = batch["host"].map(thr)
-            batch = batch.assign(_fetch_now=(t.isna() | (batch["rank"] <= t)))
-            # metadata-free Arrow out (the b'pandas' blob breaks
-            # hash(Schema) in downstream coalesces / the frontier union)
-            return pa.Table.from_pandas(batch, preserve_index=False).replace_schema_metadata(None)
+            return _flag(batch, get_broadcast(thr_ref))
 
         flagged = pending.map_batches(flag, batch_format="pandas")
     else:
-        joined = drop_empty_blocks(pending).join(  # every join input must
-            # be empty-block-free — see blockutil.drop_empty_blocks
+        flagged = shard_join(
+            pending,
             thresholds,
-            join_type="left_outer",
-            num_partitions=max(8, n_hosts // 500_000),
-            on=("host",),
+            "host",
+            lambda rows, thr: _flag(rows, thr.set_index("host")["_thr"]),
+            # never reached: the frontier has rows here, and every one of
+            # them comes back flagged
+            pa.schema([]),
         )
-
-        def flag_joined(batch: pd.DataFrame) -> pa.Table:
-            t = batch["_thr"]
-            batch = batch.assign(_fetch_now=(t.isna() | (batch["rank"] <= t)))
-            batch = batch.drop(columns=["_thr"])
-            return pa.Table.from_pandas(batch, preserve_index=False).replace_schema_metadata(None)
-
-        flagged = joined.map_batches(flag_joined, batch_format="pandas")
 
     flagged = flagged.materialize()  # frontier metadata only — small
     fetch_now = flagged.filter(expr="_fetch_now == True").drop_columns(["_fetch_now"])

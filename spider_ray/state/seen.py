@@ -42,15 +42,15 @@ import numpy as np
 SEEN_MODES = ("exact", "bloom")
 
 
-def _route_hash_batch(urls) -> np.ndarray:
-    """Vectorized 64-bit routing hash (pandas' C siphash via
+def url_hash_batch(urls) -> np.ndarray:
+    """The engine's one vectorized 64-bit url hash (pandas' C siphash via
     ``pd.util.hash_array``, fixed default key — deterministic across
-    processes and runs, no ``PYTHONHASHSEED`` dependence). Replaces the
-    per-url ``zlib.crc32`` python loop that every routing site paid
-    (offer fan-out, seed claim, resume replay). The only
-    invariant required: identical values in every process of a run —
-    guarded by the ``route_sentinel`` handshake below, mirroring
-    fetch.py's ``_SENTINEL_URL`` pattern."""
+    processes and runs, no ``PYTHONHASHSEED`` dependence). It routes urls
+    to seen shards (offer fan-out, seed claim, resume replay) and keys the
+    fetch stage's corpus index. The only invariant required: identical
+    values in every process that builds or reads the same routing or index
+    — guarded by hashing ``HASH_SENTINEL_URL``. Lives here, not in fetch,
+    so the shard actors never import pyarrow."""
     import pandas as pd
 
     arr = np.asarray(urls, dtype=object)
@@ -58,21 +58,27 @@ def _route_hash_batch(urls) -> np.ndarray:
 
 
 # pd.util.hash_array is a pandas implementation detail, not a stable
-# contract. A driver/worker pandas skew on a real cluster would route the
-# same url to DIFFERENT shards from different processes — a url the driver
-# claimed in shard A (a seed, a resume replay) would be offered to shard B
-# by a parse task and claimed again (silent duplicate crawl). The driver
-# computes the sentinel's hash once and ships it inside every routing
-# closure; each worker process re-derives it on first use and fails loudly
-# on mismatch.
-_ROUTE_SENTINEL_URL = "spider-ray-route-sentinel-v1"
+# contract. Hashing this sentinel url guards three skews:
+#   - routing: a driver/worker pandas skew on a real cluster would route
+#     the same url to DIFFERENT shards from different processes — a url
+#     the driver claimed in shard A (a seed, a resume replay) would be
+#     offered to shard B by a parse task and claimed again (silent
+#     duplicate crawl). The driver computes ``route_sentinel()`` once and
+#     ships it inside every routing closure; each worker process re-derives
+#     it on first use and fails loudly on mismatch;
+#   - a PERSISTED corpus index vs the current process (a pandas upgrade
+#     between runs): fetch.load_corpus_ref stores the sentinel hash in the
+#     npz and rebuilds on mismatch (the url is part of that file format);
+#   - the corpus index builder vs a lookup worker: the sentinel hash rides
+#     the broadcast payload and fetch._CorpusIndex re-derives it.
+HASH_SENTINEL_URL = "spider-ray-hash-sentinel-v2"
 _checked_route_sentinels: set[int] = set()
 
 
 def route_sentinel() -> int:
     """This process's hash of the fixed sentinel url (driver side: capture
     into routing closures; worker side: compared on first batch)."""
-    return int(_route_hash_batch([_ROUTE_SENTINEL_URL])[0])
+    return int(url_hash_batch([HASH_SENTINEL_URL])[0])
 
 
 def shard_ids_batch(urls, n_shards: int, sentinel: int | None = None) -> np.ndarray:
@@ -90,7 +96,7 @@ def shard_ids_batch(urls, n_shards: int, sentinel: int | None = None) -> np.ndar
                 "environment instead"
             )
         _checked_route_sentinels.add(sentinel)
-    return (_route_hash_batch(urls) % np.uint64(n_shards)).astype(np.int64)
+    return (url_hash_batch(urls) % np.uint64(n_shards)).astype(np.int64)
 
 
 def iter_shard_groups(urls, n_shards: int, sentinel: int | None = None):

@@ -33,6 +33,6 @@ def shard_shape(monkeypatch):
 
     def force(n: int) -> None:
         monkeypatch.setattr(B, "_ROWS_PER_SHARD", 1)
-        monkeypatch.setattr(B, "default_shuffle_partitions", lambda floor=4, cap=256: n)
+        monkeypatch.setattr(B, "default_shuffle_partitions", lambda: n)
 
     return force

@@ -1,5 +1,6 @@
-"""drop_empty_blocks: the join-input sanitizer (see blockutil docstring for
-the ray 2.49 shuffle schema-broadcast race it guards against)."""
+"""blockutil: drop_empty_blocks, final_merge, the shard exchange
+(shard_exchange / shard_join / attach_payload) and the guard that keeps
+hand-rolled exchanges out of the engine."""
 
 import pyarrow as pa
 import pytest
@@ -322,6 +323,39 @@ def test_shard_exchange_zero_one_and_many_keys(shape, shard_shape):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_shard_exchange_blocks_keep_their_columns(shard_shape):
+    """Seven shards for two keys: the sort exchange leaves partitions with
+    no rows, and none of them may reach the result as a zero-column block
+    — nor may a kernel that keeps no rows at all."""
+    import pandas as pd
+    import ray
+    from ray.data.block import BlockAccessor
+
+    from spider_ray.blockutil import shard_exchange
+
+    shard_shape(7)
+    schema = pa.schema([("k", pa.int64()), ("v", pa.int64())])
+    ds = ray.data.from_pandas([pd.DataFrame({"k": [1, 2] * 20, "v": range(40)})] * 3)
+
+    def block_columns(out):
+        return [
+            BlockAccessor.for_block(ray.get(ref)).to_arrow().schema.names
+            for bundle in out.materialize().iter_internal_ref_bundles()
+            for ref in bundle.block_refs
+        ]
+
+    kept = shard_exchange(ds, "k", lambda g: g.groupby("k", as_index=False)["v"].sum(), schema)
+    assert sorted(map(tuple, kept.to_pandas().itertuples(index=False))) == [
+        (1, 3 * sum(range(0, 40, 2))),
+        (2, 3 * sum(range(1, 40, 2))),
+    ]
+    assert block_columns(kept) and all(c == ["k", "v"] for c in block_columns(kept))
+    none = shard_exchange(ds, "k", lambda g: g.iloc[:0], schema)
+    assert none.count() == 0
+    assert all(c == ["k", "v"] for c in block_columns(none))
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_shard_exchange_splits_wide_rows_by_bytes(monkeypatch):
     """A few rows far under the row bound still go to several shards when
     their bytes exceed _BYTES_PER_SHARD — and give the same answer."""
@@ -396,9 +430,12 @@ def test_shard_join_sides_keep_their_columns(shape, shard_shape):
 
 
 def test_no_hand_rolled_exchange_outside_shard_exchange():
-    """The query pipelines exchange rows only through blockutil's
-    shard_exchange / shard_join: a ``.map_groups(`` anywhere else in
-    ``spider_ray/pipelines/`` or ``blockutil.py`` is a hand-rolled copy."""
+    """The engine exchanges rows by key only through blockutil's
+    shard_exchange / shard_join. Anywhere under ``spider_ray/``, a
+    ``.map_groups(`` outside the allowlist is a hand-rolled copy, a call
+    with a ``join_type=`` keyword is a ``Dataset.join``, and an
+    ``.aggregate(`` outside the query pipelines is a keyed reduce the
+    exchange does by contract."""
     import ast
     import pathlib
 
@@ -406,14 +443,26 @@ def test_no_hand_rolled_exchange_outside_shard_exchange():
     # (file, top-level function) → why it may call map_groups
     allowed = {
         ("blockutil.py", "_exchange"): "the multi-shard branch of shard_exchange itself",
+        ("fetch.py", "fetch_partitioned"): (
+            "each (host, sub) group costs one parquet scan, so the task count "
+            "must follow the hosts, not the rows and bytes shard_exchange "
+            "sizes its shards by"
+        ),
     }
+    query_pipelines = {"relational.py", "textops.py", "dedup.py", "graph.py", "ann.py"}
     found = []
-    for path in sorted(root.glob("pipelines/*.py")) + [root / "blockutil.py"]:
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        may_aggregate = rel.parts[0] == "pipelines" and path.name in query_pipelines
         tree = ast.parse(path.read_text())
         for top in tree.body:
+            site = (path.name, getattr(top, "name", "<module>"))
             for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr == "map_groups":
-                    site = (path.name, getattr(top, "name", "<module>"))
-                    if site not in allowed:
-                        found.append(f"{path.name}:{node.lineno} in {site[1]}")
+                if isinstance(node, ast.Attribute) and (
+                    (node.attr == "map_groups" and site not in allowed)
+                    or (node.attr == "aggregate" and not may_aggregate)
+                ):
+                    found.append(f"{rel}:{node.lineno} .{node.attr} in {site[1]}")
+                if isinstance(node, ast.Call) and any(k.arg == "join_type" for k in node.keywords):
+                    found.append(f"{rel}:{node.lineno} join_type= in {site[1]}")
     assert found == []

@@ -118,14 +118,13 @@ def test_engine_invariant_to_batch_size(corpus_dir, corpus_dict, tmp_path):
     _assert_matches_oracle(res, store, oracle)
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_finalize_store_dedups_duplicate_parts(corpus_dir, tmp_path):
+def _check_finalize_store_dedups_duplicate_parts(corpus_dir, tmp_path):
     # simulate a task-retry duplicated part file, then run the exactness net
     import glob
     import shutil
 
     from spider_ray.pipelines.crawl import crawl, read_store
-    from spider_ray.stages.expand import finalize_store
+    from spider_ray.pipelines.store_ops import finalize_store
 
     out = str(tmp_path / "o")
     crawl(corpus_dir, SEEDS, out, max_depth=1)
@@ -144,6 +143,19 @@ def test_finalize_store_dedups_duplicate_parts(corpus_dir, tmp_path):
         .reset_index(drop=True)
     )
     assert final.equals(clean)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_finalize_store_dedups_duplicate_parts(corpus_dir, tmp_path):
+    _check_finalize_store_dedups_duplicate_parts(corpus_dir, tmp_path)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_finalize_store_dedups_duplicate_parts_shuffled(corpus_dir, tmp_path, shard_shape):
+    # the url exchange over 7 shards: every copy of a url must still meet
+    # its twin in one kernel call
+    shard_shape(7)
+    _check_finalize_store_dedups_duplicate_parts(corpus_dir, tmp_path)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -384,7 +396,8 @@ def test_corpus_index_all_miss_batch():
     import numpy as np
     import pyarrow as pa
 
-    from spider_ray.stages.fetch import _CorpusIndex, _url_hash64
+    from spider_ray.stages.fetch import _CorpusIndex
+    from spider_ray.state.seen import url_hash_batch
 
     tbl = pa.table(
         {
@@ -392,7 +405,7 @@ def test_corpus_index_all_miss_batch():
             "html": pa.array([b"<p>x</p>", b"<p>y</p>"], pa.large_binary()),
         }
     )
-    hashes = np.array([_url_hash64(u) for u in tbl.column("url").to_pylist()], dtype=np.uint64)
+    hashes = url_hash_batch(tbl.column("url").to_pylist())
     order = np.argsort(hashes, kind="stable").astype(np.int64)
     idx = _CorpusIndex((tbl, hashes[order], order))
 

@@ -1,7 +1,8 @@
 """politeness_split unit tests — including the hot-host shape: ONE host
 owning the whole frontier (100 % skew), split across many blocks, must
 yield the same selection at any partition count, and the broadcast-dict and
-join threshold paths must agree."""
+join threshold paths must agree. Each ``_shuffled`` sibling runs its test's
+check with the shard exchanges forced onto 7 shards."""
 
 import numpy as np
 import pandas as pd
@@ -36,9 +37,7 @@ def _expected(df: pd.DataFrame, budget, overrides=None):
     return set(keep)
 
 
-@pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("n_blocks", [1, 7])
-def test_single_hot_host_full_skew(n_blocks):
+def _check_single_hot_host(n_blocks):
     from spider_ray.stages.politeness import politeness_split
 
     ds, df = _frontier(500, ["hot.example"], n_blocks)
@@ -49,7 +48,20 @@ def test_single_hot_host_full_skew(n_blocks):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_overrides_and_unthrottled_hosts():
+@pytest.mark.parametrize("n_blocks", [1, 7])
+def test_single_hot_host_full_skew(n_blocks):
+    _check_single_hot_host(n_blocks)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("n_blocks", [1, 7])
+def test_single_hot_host_full_skew_shuffled(n_blocks, shard_shape):
+    # one host over 7 shards: six of them get no candidate rows
+    shard_shape(7)
+    _check_single_hot_host(n_blocks)
+
+
+def _check_overrides_and_unthrottled_hosts():
     from spider_ray.stages.politeness import politeness_split
 
     ds, df = _frontier(300, ["a", "b", "c"], 5)
@@ -63,19 +75,40 @@ def test_overrides_and_unthrottled_hosts():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_broadcast_and_join_paths_agree():
-    from spider_ray.stages.politeness import politeness_split
+def test_overrides_and_unthrottled_hosts():
+    _check_overrides_and_unthrottled_hosts()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_overrides_and_unthrottled_hosts_shuffled(shard_shape):
+    shard_shape(7)
+    _check_overrides_and_unthrottled_hosts()
+
+
+def _check_broadcast_and_join_paths_agree(monkeypatch):
+    import spider_ray.stages.politeness as P
 
     ds, df = _frontier(400, ["a", "b", "c", "d"], 6)
-    bc_now, bc_def = politeness_split(ds, 12)
-    j_now, j_def = politeness_split(ds, 12, broadcast_limit=0)  # force join
+    bc_now, bc_def = P.politeness_split(ds, 12)
+    monkeypatch.setattr(P, "_BROADCAST_LIMIT", 0)  # force the join path
+    j_now, j_def = P.politeness_split(ds, 12)
     assert set(bc_now.to_pandas()["url"]) == set(j_now.to_pandas()["url"])
     assert set(bc_def.to_pandas()["url"]) == set(j_def.to_pandas()["url"])
     assert set(bc_now.to_pandas()["url"]) == _expected(df, 12)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_zero_budget_defers_everything():
+def test_broadcast_and_join_paths_agree(monkeypatch):
+    _check_broadcast_and_join_paths_agree(monkeypatch)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_broadcast_and_join_paths_agree_shuffled(monkeypatch, shard_shape):
+    shard_shape(7)
+    _check_broadcast_and_join_paths_agree(monkeypatch)
+
+
+def _check_zero_budget_defers_everything():
     # b == 0 means "skip this host this round": every row defers (the old
     # threshold math indexed ranks[-1] and silently FETCHED everything)
     from spider_ray.stages.politeness import politeness_split
@@ -90,6 +123,17 @@ def test_zero_budget_defers_everything():
     now2, def2 = politeness_split(ds, 0)
     assert now2.count() == 0
     assert def2.count() == 120
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_zero_budget_defers_everything():
+    _check_zero_budget_defers_everything()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_zero_budget_defers_everything_shuffled(shard_shape):
+    shard_shape(7)
+    _check_zero_budget_defers_everything()
 
 
 @pytest.mark.usefixtures("ray_session")

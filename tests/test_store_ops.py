@@ -39,20 +39,19 @@ def test_count_all(crawled):
     assert count_all(out) == read_store(out).count() > 0
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_reconcile_overwrite_semantics(crawled):
+def _check_reconcile_overwrite_semantics(crawled, tag):
     from spider_ray.pipelines.crawl import crawl, read_store
     from spider_ray.pipelines.store_ops import reconcile_stores
 
     corpus, out, root = crawled
-    out2 = str(root / "out2")
+    out2 = str(root / f"out2{tag}")
     crawl(corpus, ["https://h2.example/p0"], out2, max_depth=1)
     old = read_store(out).to_pandas()
     new = read_store(out2).to_pandas()
     overlap = set(old.url) & set(new.url)
 
-    merged_ow = reconcile_stores(out, out2, str(root / "m1"), overwrite=True).to_pandas()
-    merged_keep = reconcile_stores(out, out2, str(root / "m2"), overwrite=False).to_pandas()
+    merged_ow = reconcile_stores(out, out2, str(root / f"m1{tag}"), overwrite=True).to_pandas()
+    merged_keep = reconcile_stores(out, out2, str(root / f"m2{tag}"), overwrite=False).to_pandas()
     assert set(merged_ow.url) == set(old.url) | set(new.url)
     assert set(merged_ow.url) == set(merged_keep.url)
     # merged ranks stay unique (new generation offset past old max)
@@ -68,6 +67,17 @@ def test_reconcile_overwrite_semantics(crawled):
             merged_keep[merged_keep.url == u].discovery_rank.iloc[0]
             == old[old.url == u].discovery_rank.iloc[0]
         )
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_reconcile_overwrite_semantics(crawled):
+    _check_reconcile_overwrite_semantics(crawled, "")
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_reconcile_overwrite_semantics_shuffled(crawled, shard_shape):
+    shard_shape(7)
+    _check_reconcile_overwrite_semantics(crawled, "_shuffled")
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -106,8 +116,7 @@ def test_drop_store(tmp_path):
     assert not os.path.exists(os.path.join(out, "rounds"))
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_reconcile_survives_duplicated_part_file(crawled):
+def _check_reconcile_survives_duplicated_part_file(crawled, tag):
     # a byte-identical duplicated part (same url AND discovery_rank, e.g. a
     # retry-duplicated file) must yield exactly ONE merged row per url
     import glob
@@ -117,17 +126,28 @@ def test_reconcile_survives_duplicated_part_file(crawled):
     from spider_ray.pipelines.store_ops import reconcile_stores
 
     corpus, out, root = crawled
-    out_dup = str(root / "out_dup")
+    out_dup = str(root / f"out_dup{tag}")
     crawl(corpus, ["https://h2.example/p0"], out_dup, max_depth=1)
     part = glob.glob(f"{out_dup}/store/r0000/*.parquet")[0]
     shutil.copy(part, part.replace(".parquet", "-retry-dup.parquet"))
     n_urls_old = read_store(out).to_pandas()["url"].nunique()
     n_urls_new = read_store(out_dup).to_pandas()["url"].nunique()
 
-    merged = reconcile_stores(out, out_dup, str(root / "m_dup"), overwrite=True).to_pandas()
+    merged = reconcile_stores(out, out_dup, str(root / f"m_dup{tag}"), overwrite=True).to_pandas()
     assert merged["url"].is_unique
     assert merged["discovery_rank"].is_unique
     assert merged["url"].nunique() == len(set(read_store(out).to_pandas()["url"]) | set(read_store(out_dup).to_pandas()["url"]))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_reconcile_survives_duplicated_part_file(crawled):
+    _check_reconcile_survives_duplicated_part_file(crawled, "")
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_reconcile_survives_duplicated_part_file_shuffled(crawled, shard_shape):
+    shard_shape(7)
+    _check_reconcile_survives_duplicated_part_file(crawled, "_shuffled")
 
 
 @pytest.mark.usefixtures("ray_session")
