@@ -64,6 +64,42 @@ def _live_blocks(ds: Dataset):
     return mds, refs, total, nbytes
 
 
+def collect_table(ds: Dataset) -> pa.Table | None:
+    """``ds``'s rows as one Arrow table on the driver; None when it has
+    none. ``materialize()`` comes first: on a dataset built from in-memory
+    blocks (``from_arrow``, ``from_arrow_refs``, ``from_pandas``) it hands
+    back those blocks without a streaming execution, where
+    ``to_arrow_refs`` alone starts one (measured on Ray 2.49: 0 executions
+    and 6 ms against 1 execution and 20 ms for four 15-row blocks)."""
+    tbls = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(tbls) if tbls else None
+
+
+def compact_table(t: pa.Table) -> pa.Table:
+    """Fresh buffers sized to the table. A SLICED Arrow column pickles its
+    FULL parent buffers (measured on pyarrow 16: a 1000-row slice of a
+    1M-row table serializes 38.7 MB; compacted, 37 KB) and
+    ``combine_chunks`` does NOT compact a single sliced chunk —
+    ``concat_arrays`` does. Apply before shipping any slice-derived table
+    (a Ray task's return value, a ``ray.data.from_arrow`` block)."""
+    if t.num_rows == 0:
+        return t
+    return pa.Table.from_arrays(
+        [pa.concat_arrays(list(c.chunks)) for c in t.columns], schema=t.schema
+    )
+
+
+def presplit(tbl: pa.Table, nblocks: int) -> Dataset:
+    """``tbl`` as a materialized Dataset of ``nblocks`` compacted slices
+    (one empty block for an empty table)."""
+    if tbl.num_rows == 0:
+        return ray.data.from_arrow(tbl)
+    step = -(-tbl.num_rows // nblocks)
+    return ray.data.from_arrow(
+        [compact_table(tbl.slice(i, step)) for i in range(0, tbl.num_rows, step)]
+    )
+
+
 def unique_pairs(lo, hi):
     """Dedup sorted ``(lo, hi)`` int64 pair arrays, returned sorted.
 

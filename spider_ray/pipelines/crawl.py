@@ -7,6 +7,8 @@ each round is one streaming Dataset pipeline:
 
   pending frontier (materialized; url, host, depth, rank)
     → politeness_split                      [per-host budgets, deferral]
+      (frontiers up to small_checkpoint_rows split on the driver, no
+      execution; larger ones through a distributed threshold reduce)
     → ONE streaming execution:
         fetch (broadcast index | partitioned read)   [fetch_mode]
         → parse + store-part write + robots gate
@@ -56,7 +58,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
+from ray.data.dataset import MaterializedDataset
 
+from spider_ray.blockutil import collect_table, compact_table, presplit
 from spider_ray.canonical import canonicalize, ensure_scheme, host_of, human_repr
 from spider_ray.oracle import robots_allows
 from spider_ray.stages import claim
@@ -178,20 +182,6 @@ def _decode_candidates(batch: pa.Table) -> pa.Table:
     return out.select(FRONTIER_COLS)
 
 
-def _compact(t: pa.Table) -> pa.Table:
-    """Fresh buffers sized to the table. A SLICED Arrow column pickles its
-    FULL parent buffers (measured on pyarrow 16: a 1000-row slice of a
-    1M-row table serializes 38.7 MB; compacted, 37 KB) and
-    ``combine_chunks`` does NOT compact a single sliced chunk —
-    ``concat_arrays`` does. Apply before returning any slice-derived table
-    from a Ray task."""
-    if t.num_rows == 0:
-        return t
-    return pa.Table.from_arrays(
-        [pa.concat_arrays(list(c.chunks)) for c in t.columns], schema=t.schema
-    )
-
-
 @ray.remote
 def _decode_block_task(tbl: pa.Table, offset: int, length: int) -> pa.Table:
     """Per-slice candidate decode (depth bits + host regex) as a parallel
@@ -201,21 +191,13 @@ def _decode_block_task(tbl: pa.Table, offset: int, length: int) -> pa.Table:
     from plasma — shipping ``tbl.slice(...)`` per task would serialize the
     FULL parent buffers once per slice, ~nblocks× the frontier size), and
     the output is compacted so the returned slice doesn't re-ship them."""
-    return _compact(_decode_candidates(tbl.slice(offset, length)))
+    return compact_table(_decode_candidates(tbl.slice(offset, length)))
 
 
 @ray.remote
 def _claims_table_task(claims: Claims) -> pa.Table:
     """One shard's harvest as Arrow, for the distributed rank path."""
     return claims_table([claims])
-
-
-def _presplit(tbl: pa.Table, nblocks: int) -> Dataset:
-    """``tbl`` as a materialized Dataset of ``nblocks`` compacted slices."""
-    step = -(-tbl.num_rows // nblocks)
-    return ray.data.from_arrow(
-        [_compact(tbl.slice(i, step)) for i in range(0, tbl.num_rows, step)]
-    )
 
 
 def _refill(source, n_cand: int, next_rank: int, cfg: CrawlConfig, cpus: int):
@@ -239,7 +221,7 @@ def _refill(source, n_cand: int, next_rank: int, cfg: CrawlConfig, cpus: int):
         return ranked, n_new, None
     # small round: sort+rank on the driver — a distributed execution costs
     # more than the data
-    tbl = claims_table(ray.get(source)) if harvested else _collect_tables(source)
+    tbl = claims_table(ray.get(source)) if harvested else collect_table(source)
     if tbl is None or tbl.num_rows == 0:
         return None, 0, None
     tbl = tbl.take(pa.compute.sort_indices(tbl, sort_keys=[("claim_key", "ascending")]))
@@ -367,13 +349,6 @@ def _target_blocks(n_rows: int, cpus: int, batch_size: int) -> int:
         min(cpus, -(-n_rows // 64)),
     )
     return max(1, min(desired, 4 * cpus))
-
-
-def _collect_tables(ds: Dataset) -> pa.Table | None:
-    tbls = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    if not tbls:
-        return None
-    return pa.concat_tables(tbls)
 
 
 def _checkpoint_round(
@@ -663,21 +638,34 @@ def _crawl_rounds(
             shutil.rmtree(store_dir, ignore_errors=True)  # crashed-attempt leftovers
             os.makedirs(store_dir)
 
-            fetch_now, deferred = politeness_split(
-                pending, cfg.per_host_budget, cfg.host_budgets
-            )
-            n_fetch = pending_count if deferred is None else fetch_now.count()
-            n_defer = pending_count - n_fetch
-
             # fetch/parse parallelism == input block count: split the round's
             # frontier so every CPU gets work (a sorted/unioned frontier often
             # arrives as 1-2 blocks), capped so blocks never get degenerate.
             # Skipped when last round's refill already pre-split the frontier
-            # driver-side (decode slices or _presplit) — one less stage per round.
+            # driver-side (decode slices or presplit), or when the politeness
+            # split ran on the driver: it returns both parts materialized,
+            # fetch_now cut to these blocks — no execution, and counts that
+            # are block metadata.
             cpus = int(ray.cluster_resources().get("CPU", 4))
-            target_blocks = _target_blocks(n_fetch, cpus, cfg.fetch_batch_size)
-            if n_fetch > 0 and not (pending_presplit and deferred is None):
-                fetch_now = fetch_now.repartition(target_blocks)
+            t_split = time.perf_counter()
+            fetch_now, deferred = politeness_split(
+                pending,
+                cfg.per_host_budget,
+                cfg.host_budgets,
+                driver_rows=cfg.small_checkpoint_rows,
+                fetch_blocks=lambda n: _target_blocks(n, cpus, cfg.fetch_batch_size),
+            )
+            t_politeness = time.perf_counter() - t_split
+            if deferred is None:
+                n_fetch, split_done = pending_count, pending_presplit
+            else:
+                n_fetch = fetch_now.count()
+                split_done = isinstance(deferred, MaterializedDataset)
+            n_defer = pending_count - n_fetch
+            if n_fetch > 0 and not split_done:
+                fetch_now = fetch_now.repartition(
+                    _target_blocks(n_fetch, cpus, cfg.fetch_batch_size)
+                )
 
             if cfg.fetch_mode == "indexed":
                 fetched = fetch_indexed(fetch_now, corpus_ref, cfg.fetch_batch_size)
@@ -711,15 +699,16 @@ def _crawl_rounds(
                 batch_format="pyarrow",
                 batch_size=cfg.parse_batch_size,
                 zero_copy_batch=True,
-            ).materialize()
-            t_parse = time.perf_counter() - t0
+            )
             if cfg.use_cache:
-                ctbl = _collect_tables(out)
+                ctbl = collect_table(out)  # runs the round body
                 crawled_this = int(pa.compute.sum(ctbl.column("crawled")).as_py()) if ctbl else 0
                 n_cand = int(pa.compute.sum(ctbl.column("candidates")).as_py()) if ctbl else 0
             else:
+                out = out.materialize()
                 crawled_this = _store_rows_count(store_dir)
                 n_cand = out.count()
+            t_parse = time.perf_counter() - t0
 
             t1 = time.perf_counter()
             ranked, n_new, ranked_slices = None, 0, None
@@ -737,7 +726,11 @@ def _crawl_rounds(
             # execution; counts are known arithmetically)
             parts = []
             if deferred is not None and n_defer > 0:
-                parts.append(deferred.select_columns(FRONTIER_COLS).materialize())
+                parts.append(
+                    deferred
+                    if split_done
+                    else deferred.select_columns(FRONTIER_COLS).materialize()
+                )
             if ranked is not None:
                 parts.append(ranked)
             pending = _union_parts(parts)
@@ -753,6 +746,7 @@ def _crawl_rounds(
                     "candidates": n_cand,
                     "deferred": n_defer,
                     "elapsed_s": time.perf_counter() - t0,
+                    "t_politeness": t_politeness,
                     "t_fetch_parse": t_parse,
                     "t_frontier_refill": t_refill,
                     "total_calls": total_calls,
@@ -785,12 +779,12 @@ def _crawl_rounds(
                     p_tbls, p_refs = [], list(ranked_slices)
                 else:
                     p_tbls = [
-                        t for p in parts for t in [_collect_tables(p)] if t is not None
+                        t for p in parts for t in [collect_table(p)] if t is not None
                     ]
                     # rebuild the next frontier from the collected parts: a
                     # lazy union gains one block per deferring round, and
                     # the politeness split slows with every block
-                    pending = _presplit(
+                    pending = presplit(
                         pa.concat_tables(p_tbls),
                         _target_blocks(pending_count, cpus, cfg.fetch_batch_size),
                     )

@@ -13,34 +13,55 @@ a deferred parent may be claimed first through a deeper one). The
 sequential oracle (``spider_ray.oracle``, same ``per_host_budget``) defines
 the budgeted order, and the engine matches it.
 
-Hot-host-safe physical shape (SURVEY.md §7 hard-part 5): "keep the b
-smallest ranks per host" is computed WITHOUT ever putting one host's rows in
-one task. Ranks are globally unique ints, so the selection is equivalent to
-a per-host RANK THRESHOLD (the b-th smallest rank), and the threshold is
-computed in two vectorized stages:
+Three physical paths, picked per call:
 
-1. per-block partial: each block keeps at most b rows per host (pandas
-   sort + cumcount — C-level), so a 50 %-skewed 10^10-row frontier
-   contributes ≤ b × n_blocks candidate rows per host, spread across tasks;
-2. per-host reduce over the REDUCED candidates picks the b-th smallest rank.
+- **Driver** — the frontier is already materialized and holds at most
+  ``driver_rows`` rows (the crawl passes ``CrawlConfig.small_checkpoint_rows``,
+  its bound on frontier metadata the driver may hold). Its blocks come to
+  the driver with one ``ray.get`` of the block refs (``blockutil.
+  collect_table``, which starts no execution either), one call of each
+  kernel below gives the thresholds, and Arrow compute flags the rows. No
+  Ray Data execution runs: ``fetch_now`` comes back already cut into
+  ``fetch_blocks(n)`` slices and ``deferred`` as one block, both
+  materialized, so their counts are block metadata.
+- **Broadcast** — above ``driver_rows`` (or on a lazy frontier), with at
+  most ``_BROADCAST_LIMIT`` throttled hosts: the thresholds go out as one
+  dict and a ``map_batches`` flags the rows.
+- **``shard_join``** — above ``_BROADCAST_LIMIT`` throttled hosts (the
+  10^8-host path): the frontier is joined with the thresholds on host.
+
+Hot-host-safe shape of the two distributed paths (SURVEY.md §7 hard-part
+5): "keep the b smallest ranks per host" is computed WITHOUT ever putting
+one host's rows in one task. Ranks are globally unique ints, so the
+selection is equivalent to a per-host RANK THRESHOLD (the b-th smallest
+rank), and the threshold is computed in two vectorized stages:
+
+1. per-block partial (``partial_topb``): each block keeps at most b rows
+   per host (pandas sort + cumcount — C-level), so a 50 %-skewed
+   10^10-row frontier contributes ≤ b × n_blocks candidate rows per host,
+   spread across tasks;
+2. per-host reduce (``shard_thresholds``) over the REDUCED candidates picks
+   the b-th smallest rank.
 
 The reduce is one ``blockutil.shard_exchange`` on host (every candidate of
-a host lands in one kernel call). The thresholds table is one row per
-THROTTLED host. It is applied as a broadcast dict when small (at most
-``_BROADCAST_LIMIT`` hosts — every frontier of a sandbox-sized crawl) and as
-a ``shard_join`` of the frontier with the thresholds on host beyond that (the
-10^8-host path); both paths are tested equal.
+a host lands in one kernel call); the thresholds table is one row per
+THROTTLED host. The driver path runs the same two kernels once each over
+the whole frontier. All three paths are tested equal.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
+from ray.data.dataset import MaterializedDataset
 
-from spider_ray.blockutil import shard_exchange, shard_join
+from spider_ray.blockutil import collect_table, presplit, shard_exchange, shard_join
 
 # hosts whose thresholds are broadcast as a dict; past it the frontier is
 # joined with the thresholds through a shard exchange on host
@@ -59,15 +80,46 @@ def _flag(batch: pd.DataFrame, thr) -> pa.Table:
     return pa.Table.from_pandas(batch, preserve_index=False).replace_schema_metadata(None)
 
 
+def _split_on_driver(
+    pending: MaterializedDataset, partial_topb, shard_thresholds, fetch_blocks
+) -> tuple[Dataset, Dataset | None]:
+    """The driver path (module docstring): the frontier's blocks by one
+    ``collect_table``, one call of each kernel, an Arrow flag."""
+    tbl = collect_table(pending)
+    if tbl is None:
+        return pending, None
+    tbl = tbl.replace_schema_metadata(None)
+    cand = partial_topb(tbl.select(["host", "rank"]).to_pandas())
+    if cand.num_rows == 0:
+        return pending, None  # no throttled host in this frontier
+    thr = shard_thresholds(cand.to_pandas())
+    # null threshold = unthrottled host: fetch now
+    t = pc.take(thr["_thr"], pc.index_in(tbl["host"], value_set=thr["host"].combine_chunks()))
+    now = pc.fill_null(pc.less_equal(tbl["rank"], t), True)
+    fetch_now = tbl.filter(now)
+    return (
+        presplit(fetch_now, fetch_blocks(fetch_now.num_rows)),
+        ray.data.from_arrow(tbl.filter(pc.invert(now))),
+    )
+
+
 def politeness_split(
     pending: Dataset,
     per_host_budget: int | None,
     host_budgets: dict[str, int] | None = None,
-) -> tuple[Dataset, Dataset]:
+    *,
+    driver_rows: int = 0,
+    fetch_blocks: Callable[[int], int] = lambda n: 1,
+) -> tuple[Dataset, Dataset | None]:
     """→ (fetch_now, deferred). With no budget at all, everything fetches
     now. ``host_budgets`` (e.g. derived from robots crawl_delay_ms —
     spider_ray.robots) overrides the global default per host; a host with
-    neither budget is unthrottled."""
+    neither budget is unthrottled. When the frontier holds no throttled
+    host, ``deferred`` is None and ``fetch_now`` is ``pending``.
+
+    A materialized ``pending`` of at most ``driver_rows`` rows is split on
+    the driver, with ``fetch_now`` cut into ``fetch_blocks(n_fetch)``
+    blocks; both parts come back materialized."""
     if per_host_budget is None and not host_budgets:
         return pending, None
 
@@ -87,8 +139,6 @@ def politeness_split(
         # host still reaches the threshold reduce (which then defers it)
         d = d[idx < max(max_budget, 1)]
         return pa.Table.from_pandas(d, preserve_index=False).replace_schema_metadata(None)
-
-    cand = pending.map_batches(partial_topb, batch_format="pandas")
 
     def shard_thresholds(g: pd.DataFrame) -> pa.Table:
         """ONE vectorized pass per call (never per host): lexsort by
@@ -118,6 +168,11 @@ def politeness_split(
             {"host": pa.array(g_hosts, pa.string()), "_thr": pa.array(thr.astype(np.int64))},
             schema=_THRESHOLD_SCHEMA,
         )
+
+    if isinstance(pending, MaterializedDataset) and pending.count() <= driver_rows:
+        return _split_on_driver(pending, partial_topb, shard_thresholds, fetch_blocks)
+
+    cand = pending.map_batches(partial_topb, batch_format="pandas")
 
     # per-host candidate sets are ≤ max_budget × n_blocks rows — bounded
     # even at 100 % skew (this reduce runs over the reduced candidates,

@@ -36,3 +36,21 @@ def shard_shape(monkeypatch):
         monkeypatch.setattr(B, "default_shuffle_partitions", lambda: n)
 
     return force
+
+
+@pytest.fixture
+def distributed_splits(monkeypatch):
+    """A list that gains one entry per ``politeness_split`` call that took
+    a distributed path (its threshold reduce runs through
+    ``shard_exchange``; the driver path never calls it)."""
+    import spider_ray.stages.politeness as P
+
+    calls = []
+    exchange = P.shard_exchange
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exchange(*args, **kwargs)
+
+    monkeypatch.setattr(P, "shard_exchange", counted)
+    return calls

@@ -93,6 +93,36 @@ def test_engine_matches_oracle_with_politeness(
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_engine_matches_oracle_with_politeness_distributed_split(
+    corpus_dir, corpus_dict, tmp_path, distributed_splits
+):
+    # small_checkpoint_rows=0: no frontier is small enough to split on the
+    # driver, so every round runs the distributed threshold reduce
+    res, store = _run_engine(
+        corpus_dir, tmp_path, max_depth=2, per_host_budget=3, small_checkpoint_rows=0
+    )
+    assert len(distributed_splits) == len(res.rounds) > 3
+    oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=2, per_host_budget=3)
+    _assert_matches_oracle(res, store, oracle)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_round_metrics_time_the_politeness_split(corpus_dir, tmp_path, distributed_splits):
+    import glob
+
+    import pyarrow.parquet as pq
+
+    res, _ = _run_engine(corpus_dir, tmp_path, max_depth=2, per_host_budget=3)
+    assert distributed_splits == []  # every round split on the driver
+    last = sorted(glob.glob(str(tmp_path / "out" / "rounds" / "r[0-9]*")))[-1]
+    rows = pq.read_table(f"{last}/metrics.parquet").to_pylist()
+    assert len(rows) == len(res.rounds) > 3
+    for row, kept in zip(rows, res.rounds):
+        assert 0 <= row["t_politeness"] <= row["t_fetch_parse"], row
+        assert row["t_politeness"] == kept["t_politeness"]
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_engine_matches_oracle_with_robots(corpus_dir, corpus_dict, tmp_path):
     robots = {"h1.example": [""], "h2.example": ["/p1"]}
     res, store = _run_engine(corpus_dir, tmp_path, max_depth=2, robots=robots)
@@ -179,6 +209,39 @@ def test_engine_robots_table_with_budgets(corpus_dir, corpus_dict, tmp_path):
     res, store = _run_engine(
         corpus_dir, tmp_path, max_depth=2, robots=path, per_host_budget=5
     )
+    oracle = crawl_oracle(
+        corpus_dict,
+        SEEDS,
+        max_depth=2,
+        robots=rules,
+        per_host_budget=5,
+        host_budgets=budgets,
+    )
+    _assert_matches_oracle(res, store, oracle)
+    assert not any(u.startswith("https://h1.example") for u in store["url"])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_engine_robots_table_with_budgets_distributed_split(
+    corpus_dir, corpus_dict, tmp_path, distributed_splits
+):
+    from spider_ray.robots import load_robots_table, write_robots_table
+
+    path = write_robots_table(
+        str(tmp_path / "robots.parquet"),
+        rules={"h1.example": [""], "h2.example": ["/p1"]},
+        delays_ms={"h0.example": 30_000},  # → budget 2/round
+    )
+    rules, budgets = load_robots_table(path)
+    res, store = _run_engine(
+        corpus_dir,
+        tmp_path,
+        max_depth=2,
+        robots=path,
+        per_host_budget=5,
+        small_checkpoint_rows=0,
+    )
+    assert len(distributed_splits) == len(res.rounds)
     oracle = crawl_oracle(
         corpus_dict,
         SEEDS,

@@ -71,6 +71,29 @@ def test_resume_with_politeness_matches_oracle(corpus_dir, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_resume_with_politeness_matches_oracle_distributed_split(
+    corpus_dir, tmp_path, distributed_splits
+):
+    # small_checkpoint_rows=0: every split runs the distributed path, and
+    # the frontier checkpoints stream through write_parquet
+    from spider_ray.pipelines.crawl import crawl
+
+    out = str(tmp_path / "pol")
+    kw = dict(max_depth=2, per_host_budget=4, small_checkpoint_rows=0)
+    part = crawl(corpus_dir, SEEDS, out, max_rounds=2, **kw)
+    assert not part.finished
+    resumed = crawl(corpus_dir, SEEDS, out, resume=True, **kw)
+    assert resumed.finished
+    assert len(distributed_splits) == len(resumed.rounds)
+
+    corpus = corpus_as_dict(build_pages_table(n_pages=150, n_hosts=6, links_per_page=5))
+    oracle = crawl_oracle(corpus, SEEDS, max_depth=2, per_host_budget=4)
+    df = _store_df(out)
+    assert df["url"].tolist() == oracle.canonical_order()
+    assert resumed.total_calls == oracle.total_calls
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_sigint_mid_crawl_stops_at_round_boundary_and_resumes(
     corpus_dir, tmp_path, monkeypatch
 ):
