@@ -7,17 +7,20 @@ each round is one streaming Dataset pipeline:
 
   pending frontier (materialized; url, host, depth, rank)
     → politeness_split                      [per-host budgets, deferral]
-      (frontiers up to small_checkpoint_rows split on the driver, no
-      execution; larger ones through a distributed threshold reduce)
     → ONE streaming execution:
         fetch (broadcast index | partitioned read)   [fetch_mode]
         → parse + store-part write + robots gate
         → dedup+claim OFFER to seen shards  [all-to-all = url-hash routing]
     → HARVEST winners per shard → sort(claim_key) + dense rank  [_refill]
-      (small rounds: driver sort + PARALLEL per-slice decode tasks whose
-      output slices double as the next round's pre-split input blocks AND
-      the checkpoint payload; large rounds: distributed sort+rank)
-    → union with deferred → next pending
+    → deferred + ranked → next pending (+ its checkpoint)
+
+One bound, ``_DRIVER_ROWS``, picks where each step runs. Up to it, the
+driver ranks the round's candidates (PARALLEL per-slice decode tasks), the
+politeness split runs on the driver with no execution, every frontier is
+built already cut to ``_target_blocks`` (so fetch never repartitions), and
+the checkpoint writer thread collects the frontier's block refs. Above it:
+a distributed sort+rank, the distributed threshold reduce, a repartition
+of ``fetch_now`` and a streaming ``write_parquet`` checkpoint.
 
 The no-cache crawl (``use_cache=False``, the reference's ``--no-cache``)
 runs the same body without the offer: the stage emits its candidate rows
@@ -52,13 +55,13 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
-from ray.data.dataset import MaterializedDataset
 
 from spider_ray.blockutil import collect_table, compact_table, presplit
 from spider_ray.canonical import canonicalize, ensure_scheme, host_of, human_repr
@@ -96,16 +99,12 @@ FRONTIER_SCHEMA = pa.schema(
 )
 
 
-# checkpoints up to this many rows are written by the driver-side writer
-# thread (zero extra Dataset executions, overlapped with the next round);
-# larger ones stream via write_parquet
-_SMALL_CHECKPOINT_ROWS = 8_000_000
-# rounds with at most this many candidates rank on the driver — frontier
-# rows are ~100 B of metadata, so even 8M rows is ~800 MB moved once and a
-# sub-second driver sort (decode runs as parallel slice tasks), cheaper
-# than a distributed sort execution; beyond that the distributed sort+rank
-# path takes over
-_SMALL_ROUND_ROWS = 8_000_000
+# frontier rows the driver may hold (module docstring): a round with at
+# most this many candidates ranks on the driver, and a frontier of at most
+# this many rows is split, cut and checkpointed there. Frontier rows are
+# ~100 B of metadata, so even 8M rows is ~800 MB moved once and a
+# sub-second driver sort, cheaper than a distributed execution
+_DRIVER_ROWS = 8_000_000
 
 
 @dataclass
@@ -131,11 +130,6 @@ class CrawlConfig:
     # mean fewer actor round-trips AND a better local dedup rate (links of
     # neighboring pages overlap heavily) — 2048 pages ≈ 8-16 MB per batch
     parse_batch_size: int = 2048
-    # rows under these thresholds are ranked / checkpointed on the driver
-    # (cheap metadata moves); above them the distributed sort+rank and
-    # streaming write_parquet paths take over (see module constants)
-    small_round_rows: int = _SMALL_ROUND_ROWS
-    small_checkpoint_rows: int = _SMALL_CHECKPOINT_ROWS
     max_rounds: int | None = None  # stop after N rounds this call (resume later)
     proxy: str | None = None  # validated eagerly (S2); a no-op in corpus mode
     # opt-in: gather per-shard seen-state stats (items, structure bytes,
@@ -200,40 +194,37 @@ def _claims_table_task(claims: Claims) -> pa.Table:
     return claims_table([claims])
 
 
-def _refill(source, n_cand: int, next_rank: int, cfg: CrawlConfig, cpus: int):
+def _refill(source, n_cand: int, next_rank: int, blocks):
     """Rank a round's new ``(url, claim_key)`` candidates into the next
     frontier: ascending claim key, dense ranks from ``next_rank``, then
     depth and host decoded from the key and url.
 
     ``source`` is the round's shard harvests (a list of ``Claims`` refs) or,
     for the no-cache crawl, the stage's materialized candidate Dataset.
-    Returns ``(ranked, n_new, slices)``; ``slices`` are the decoded
-    frontier refs of the driver path (see below), else None."""
+    Returns ``(ranked, n_new)``; up to ``_DRIVER_ROWS`` candidates,
+    ``ranked`` comes back cut into ``blocks(n_new)`` blocks."""
     harvested = isinstance(source, list)
-    if n_cand > cfg.small_round_rows:
+    if n_cand > _DRIVER_ROWS:
         if harvested:
             source = ray.data.from_arrow_refs(
                 [_claims_table_task.remote(h) for h in source]
             )
-        ranked, n_new = assign_ranks(
+        return assign_ranks(
             source.sort("claim_key"), next_rank, col="rank", post_fn=_decode_candidates
         )
-        return ranked, n_new, None
-    # small round: sort+rank on the driver — a distributed execution costs
-    # more than the data
+    # sort+rank on the driver — a distributed execution costs more than the
+    # data
     tbl = claims_table(ray.get(source)) if harvested else collect_table(source)
     if tbl is None or tbl.num_rows == 0:
-        return None, 0, None
+        return None, 0
     tbl = tbl.take(pa.compute.sort_indices(tbl, sort_keys=[("claim_key", "ascending")]))
     n_new = tbl.num_rows
     tbl = tbl.append_column(
         "rank", pa.array(np.arange(next_rank, next_rank + n_new, dtype=np.int64))
     )
-    # pre-split for the NEXT round's fetch (skips a repartition stage per
-    # round) with the decode running as PARALLEL per-slice tasks; the
-    # checkpoint writer collects the same decoded refs on its own thread (no
-    # put/get round trip and no serial decode on the driver)
-    step = -(-n_new // _target_blocks(n_new, cpus, cfg.fetch_batch_size))
+    # cut for the NEXT round's fetch, with the decode running as PARALLEL
+    # per-slice tasks (no serial decode on the driver)
+    step = -(-n_new // blocks(n_new))
     # ONE put; tasks slice by (offset, length) — see _decode_block_task for
     # the pickle trap
     tref = ray.put(tbl)
@@ -241,7 +232,7 @@ def _refill(source, n_cand: int, next_rank: int, cfg: CrawlConfig, cpus: int):
         _decode_block_task.remote(tref, i, min(step, n_new - i))
         for i in range(0, n_new, step)
     ]
-    return ray.data.from_arrow_refs(slices), n_new, slices
+    return ray.data.from_arrow_refs(slices), n_new
 
 
 # Idle seen-shard actors of this process, per Ray session and shard class.
@@ -354,14 +345,14 @@ def _target_blocks(n_rows: int, cpus: int, batch_size: int) -> int:
 def _checkpoint_round(
     out_dir: str,
     r: int,
-    pending_tbls: list[pa.Table],
-    n_pending: int,
-    pending_big: Dataset | None,
+    frontier: list | Dataset,
     seed_tbl: pa.Table | None,
     metrics: list[dict],
-    pending_refs: list | None = None,
 ) -> None:
-    """Write round r's checkpoint and atomically promote it.
+    """Write round r's checkpoint and atomically promote it. ``frontier``
+    is the next pending frontier: its block refs (collected HERE, on the
+    writer thread, overlapped with the next round) or, above
+    ``_DRIVER_ROWS``, a Dataset streamed through ``write_parquet``.
 
     The URL-seen lineage needs NO separate claims files: every claimed url
     sits in the pending frontier at the end of its claim round (it is only
@@ -373,22 +364,14 @@ def _checkpoint_round(
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(os.path.join(tmp, "frontier"), exist_ok=True)
 
-    if n_pending == 0:
-        pq.write_table(
-            FRONTIER_SCHEMA.empty_table(), os.path.join(tmp, "frontier", "empty.parquet")
-        )
-    elif pending_refs is not None:
-        # decoded frontier slices are already in the object store — collect
-        # them HERE, on the writer thread, overlapped with the next round
-        pq.write_table(
-            pa.concat_tables(ray.get(list(pending_refs))).select(FRONTIER_SCHEMA.names),
-            os.path.join(tmp, "frontier", "data.parquet"),
-        )
-    elif pending_big is not None:
-        pending_big.write_parquet(os.path.join(tmp, "frontier"))
+    if isinstance(frontier, Dataset):
+        frontier.write_parquet(os.path.join(tmp, "frontier"))
     else:
+        tbls = ray.get(frontier)
         pq.write_table(
-            pa.concat_tables(pending_tbls).select(FRONTIER_SCHEMA.names),
+            pa.concat_tables(tbls).select(FRONTIER_COLS)
+            if tbls
+            else FRONTIER_SCHEMA.empty_table(),
             os.path.join(tmp, "frontier", "data.parquet"),
         )
 
@@ -456,15 +439,6 @@ class _CheckpointThread(threading.Thread):
             raise RuntimeError("checkpoint write failed") from self.error
 
 
-def _union_parts(parts: list[Dataset]) -> Dataset | None:
-    if not parts:
-        return None
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
-
-
 def _find_last_complete_round(out_dir: str) -> int | None:
     rounds = glob.glob(os.path.join(out_dir, "rounds", "r[0-9]*"))
     if not rounds:
@@ -475,9 +449,10 @@ def _find_last_complete_round(out_dir: str) -> int | None:
 
 def _restore(
     out_dir: str, shards: list, n_shards: int
-) -> tuple[Dataset, int, list[dict]]:
-    """Rebuild seen state + pending frontier + counters from the last
-    complete round's checkpoint (claims replayed across ALL rounds)."""
+) -> tuple[list[str], int, list[dict]]:
+    """Rebuild the seen state from the checkpoints (claims replayed across
+    ALL rounds); return the last complete round's frontier files, the next
+    round's index and the metrics so far."""
     last = _find_last_complete_round(out_dir)
     if last is None:
         raise RuntimeError(
@@ -519,10 +494,8 @@ def _restore(
     claims_ds.map_batches(bulk, batch_format="pyarrow").count()
 
     metrics_tbl = pq.read_table(os.path.join(_round_dir(out_dir, last), "metrics.parquet"))
-    metrics = metrics_tbl.to_pylist()
     frontier_files = glob.glob(os.path.join(_round_dir(out_dir, last), "frontier", "*.parquet"))
-    pending = ray.data.read_parquet(frontier_files).materialize()
-    return pending, last + 1, metrics
+    return frontier_files, last + 1, metrics_tbl.to_pylist()
 
 
 def crawl(
@@ -537,7 +510,10 @@ def crawl(
     if not seeds:
         raise ValueError("crawl() needs at least one seed url")
     cfg = replace(cfg or CrawlConfig(), **overrides)
-    assert cfg.max_depth <= claim.MAX_DEPTH
+    if not 0 <= cfg.max_depth <= claim.MAX_DEPTH:
+        raise ValueError(f"max_depth must be in 0..{claim.MAX_DEPTH}, got {cfg.max_depth}")
+    if cfg.seen_shards < 1:
+        raise ValueError(f"seen_shards must be >= 1, got {cfg.seen_shards}")
     if cfg.fetch_mode not in FETCH_MODES:
         raise ValueError(
             f"unknown fetch_mode {cfg.fetch_mode!r} (expected one of {FETCH_MODES})"
@@ -605,10 +581,22 @@ def _crawl_rounds(
 
     start_url = canonicalize(ensure_scheme(seeds[0]))
     parent_value = human_repr(start_url)
+    cpus = int(ray.cluster_resources().get("CPU", 4))
+
+    def blocks(n_rows: int) -> int:
+        return _target_blocks(n_rows, cpus, cfg.fetch_batch_size)
+
+    def cut(tbl: pa.Table) -> Dataset:
+        """A frontier the driver holds, cut for the next round's fetch."""
+        return presplit(tbl, blocks(tbl.num_rows))
 
     if resume:
-        pending, round_idx, metrics = _restore(out_dir, shards, cfg.seen_shards)
-        pending_count = pending.count()
+        files, round_idx, metrics = _restore(out_dir, shards, cfg.seen_shards)
+        pending_count = sum(pq.read_metadata(f).num_rows for f in files)
+        if pending_count > _DRIVER_ROWS:
+            pending = ray.data.read_parquet(files).materialize()
+        else:
+            pending = cut(pq.read_table(files, schema=FRONTIER_SCHEMA))
         last = metrics[-1]
         next_rank = last["next_rank"]
         total_calls = last["total_calls"]
@@ -619,7 +607,7 @@ def _crawl_rounds(
             seeds, shards, cfg.seen_shards, cfg.robots, cfg.use_cache
         )
         parent_value = human_repr(start_url)
-        pending = ray.data.from_arrow(seed_tbl).materialize()
+        pending = cut(seed_tbl)
         pending_count = seed_tbl.num_rows
         round_idx, next_rank = 0, seed_tbl.num_rows
         total_calls, crawled_cum = 0, 0
@@ -627,7 +615,6 @@ def _crawl_rounds(
 
     rounds_run = 0
     ckpt_thread: threading.Thread | None = None
-    pending_presplit = False  # True when pending is already driver-sliced
     intr = _DeferSigint()
     intr.__enter__()  # defer Ctrl-C to round boundaries
     try:
@@ -638,34 +625,23 @@ def _crawl_rounds(
             shutil.rmtree(store_dir, ignore_errors=True)  # crashed-attempt leftovers
             os.makedirs(store_dir)
 
-            # fetch/parse parallelism == input block count: split the round's
-            # frontier so every CPU gets work (a sorted/unioned frontier often
-            # arrives as 1-2 blocks), capped so blocks never get degenerate.
-            # Skipped when last round's refill already pre-split the frontier
-            # driver-side (decode slices or presplit), or when the politeness
-            # split ran on the driver: it returns both parts materialized,
-            # fetch_now cut to these blocks — no execution, and counts that
-            # are block metadata.
-            cpus = int(ray.cluster_resources().get("CPU", 4))
             t_split = time.perf_counter()
             fetch_now, deferred = politeness_split(
                 pending,
                 cfg.per_host_budget,
                 cfg.host_budgets,
-                driver_rows=cfg.small_checkpoint_rows,
-                fetch_blocks=lambda n: _target_blocks(n, cpus, cfg.fetch_batch_size),
+                driver_rows=_DRIVER_ROWS,
+                fetch_blocks=blocks,
             )
             t_politeness = time.perf_counter() - t_split
-            if deferred is None:
-                n_fetch, split_done = pending_count, pending_presplit
-            else:
-                n_fetch = fetch_now.count()
-                split_done = isinstance(deferred, MaterializedDataset)
+            n_fetch = pending_count if deferred is None else fetch_now.count()
             n_defer = pending_count - n_fetch
-            if n_fetch > 0 and not split_done:
-                fetch_now = fetch_now.repartition(
-                    _target_blocks(n_fetch, cpus, cfg.fetch_batch_size)
-                )
+            # fetch/parse parallelism == input block count. Up to the bound
+            # the frontier arrives cut to _target_blocks, and so does the
+            # driver split's fetch_now (a count that is block metadata);
+            # above it, fetch_now is repartitioned here
+            if pending_count > _DRIVER_ROWS and n_fetch > 0:
+                fetch_now = fetch_now.repartition(blocks(n_fetch))
 
             if cfg.fetch_mode == "indexed":
                 fetched = fetch_indexed(fetch_now, corpus_ref, cfg.fetch_batch_size)
@@ -711,10 +687,10 @@ def _crawl_rounds(
             t_parse = time.perf_counter() - t0
 
             t1 = time.perf_counter()
-            ranked, n_new, ranked_slices = None, 0, None
+            ranked, n_new = None, 0
             if n_cand > 0:
                 source = [s.harvest.remote(r + 1) for s in shards] if cfg.use_cache else out
-                ranked, n_new, ranked_slices = _refill(source, n_cand, next_rank, cfg, cpus)
+                ranked, n_new = _refill(source, n_cand, next_rank, blocks)
             t_refill = time.perf_counter() - t1
 
             next_rank += n_new
@@ -722,19 +698,26 @@ def _crawl_rounds(
             crawled_cum += crawled_this
             pending_count = n_defer + n_new
 
-            # next frontier = lazy union of already-materialized parts (no extra
-            # execution; counts are known arithmetically)
-            parts = []
-            if deferred is not None and n_defer > 0:
-                parts.append(
-                    deferred
-                    if split_done
-                    else deferred.select_columns(FRONTIER_COLS).materialize()
-                )
-            if ranked is not None:
-                parts.append(ranked)
-            pending = _union_parts(parts)
-            pending_presplit = ranked_slices is not None and len(parts) == 1
+            # next frontier: deferred + ranked. Up to the bound it is built
+            # cut (only the driver refill's own output already is; a union
+            # would gain a block per deferring round, and the split slows
+            # with every block), and the checkpoint gets its block refs
+            parts = [p for p in (deferred if n_defer else None, ranked) if p is not None]
+            if pending_count > _DRIVER_ROWS:
+                # materialized once: the deferred filter then runs once, not
+                # once per consumer (checkpoint write, next split)
+                pending = frontier = reduce(Dataset.union, parts).materialize()
+            elif pending_count == 0:
+                frontier = []
+            else:
+                if n_defer or n_cand > _DRIVER_ROWS:
+                    pending = cut(
+                        pa.concat_tables([collect_table(p).select(FRONTIER_COLS) for p in parts])
+                    )
+                else:
+                    pending = ranked
+                # block refs without an execution (see collect_table)
+                frontier = pending.materialize().to_arrow_refs()
 
             metrics.append(
                 {
@@ -769,40 +752,10 @@ def _crawl_rounds(
             # writer thread; threads are serialized (join before submit) so
             # round dirs promote strictly in order — resume correctness depends
             # on rounds/rK existing for every K < last
-            p_refs = None
-            if pending_count == 0:
-                p_tbls, p_big = [], None
-            elif pending_count <= cfg.small_checkpoint_rows:
-                if pending_presplit:
-                    # decoded frontier slice refs — the writer thread
-                    # collects them itself (no put/get round trip here)
-                    p_tbls, p_refs = [], list(ranked_slices)
-                else:
-                    p_tbls = [
-                        t for p in parts for t in [collect_table(p)] if t is not None
-                    ]
-                    # rebuild the next frontier from the collected parts: a
-                    # lazy union gains one block per deferring round, and
-                    # the politeness split slows with every block
-                    pending = presplit(
-                        pa.concat_tables(p_tbls),
-                        _target_blocks(pending_count, cpus, cfg.fetch_batch_size),
-                    )
-                    pending_presplit = True
-                p_big = None
-            else:
-                p_tbls, p_big = [], _union_parts(parts)
             if ckpt_thread is not None:
                 ckpt_thread.join_and_raise()
             ckpt_thread = _CheckpointThread(
-                out_dir,
-                r,
-                p_tbls,
-                pending_count,
-                p_big,
-                seed_tbl if r == 0 else None,
-                list(metrics),
-                p_refs,
+                out_dir, r, frontier, seed_tbl if r == 0 else None, list(metrics)
             )
             ckpt_thread.start()
             seed_tbl = None

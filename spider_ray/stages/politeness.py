@@ -16,19 +16,21 @@ the budgeted order, and the engine matches it.
 Three physical paths, picked per call:
 
 - **Driver** — the frontier is already materialized and holds at most
-  ``driver_rows`` rows (the crawl passes ``CrawlConfig.small_checkpoint_rows``,
-  its bound on frontier metadata the driver may hold). Its blocks come to
-  the driver with one ``ray.get`` of the block refs (``blockutil.
+  ``driver_rows`` rows (the crawl passes its one bound on frontier metadata
+  the driver may hold, ``pipelines/crawl.py:_DRIVER_ROWS``). Its blocks
+  come to the driver with one ``ray.get`` of the block refs (``blockutil.
   collect_table``, which starts no execution either), one call of each
-  kernel below gives the thresholds, and Arrow compute flags the rows. No
+  kernel below gives the thresholds, and ``_fetch_now`` flags the rows. No
   Ray Data execution runs: ``fetch_now`` comes back already cut into
   ``fetch_blocks(n)`` slices and ``deferred`` as one block, both
   materialized, so their counts are block metadata.
 - **Broadcast** — above ``driver_rows`` (or on a lazy frontier), with at
-  most ``_BROADCAST_LIMIT`` throttled hosts: the thresholds go out as one
-  dict and a ``map_batches`` flags the rows.
+  most ``_BROADCAST_LIMIT`` throttled hosts: the thresholds table goes out
+  as one object and a ``map_batches`` flags the rows.
 - **``shard_join``** — above ``_BROADCAST_LIMIT`` throttled hosts (the
   10^8-host path): the frontier is joined with the thresholds on host.
+
+All three flag rows with the same Arrow kernel, ``_fetch_now``.
 
 Hot-host-safe shape of the two distributed paths (SURVEY.md §7 hard-part
 5): "keep the b smallest ranks per host" is computed WITHOUT ever putting
@@ -63,28 +65,25 @@ from ray.data.dataset import MaterializedDataset
 
 from spider_ray.blockutil import collect_table, presplit, shard_exchange, shard_join
 
-# hosts whose thresholds are broadcast as a dict; past it the frontier is
+# hosts whose thresholds are broadcast as one table; past it the frontier is
 # joined with the thresholds through a shard exchange on host
 _BROADCAST_LIMIT = 1_000_000
 
 _THRESHOLD_SCHEMA = pa.schema([("host", pa.string()), ("_thr", pa.int64())])
 
 
-def _flag(batch: pd.DataFrame, thr) -> pa.Table:
-    """``batch`` plus ``_fetch_now``: true for an unthrottled host (no
-    threshold in ``thr``, a host → threshold mapping) or a rank at or below
-    its host's threshold. Metadata-free Arrow out (the b'pandas' blob
-    breaks hash(Schema) in downstream coalesces / the frontier union)."""
-    t = batch["host"].map(thr)
-    batch = batch.assign(_fetch_now=(t.isna() | (batch["rank"] <= t)))
-    return pa.Table.from_pandas(batch, preserve_index=False).replace_schema_metadata(None)
+def _fetch_now(tbl: pa.Table, thr: pa.Table):
+    """True for a row of an unthrottled host (no row in ``thr``, a
+    thresholds table) or a rank at or below its host's threshold."""
+    t = pc.take(thr["_thr"], pc.index_in(tbl["host"], value_set=thr["host"].combine_chunks()))
+    return pc.fill_null(pc.less_equal(tbl["rank"], t), True)
 
 
 def _split_on_driver(
     pending: MaterializedDataset, partial_topb, shard_thresholds, fetch_blocks
 ) -> tuple[Dataset, Dataset | None]:
     """The driver path (module docstring): the frontier's blocks by one
-    ``collect_table``, one call of each kernel, an Arrow flag."""
+    ``collect_table``, one call of each kernel, one flag."""
     tbl = collect_table(pending)
     if tbl is None:
         return pending, None
@@ -92,10 +91,7 @@ def _split_on_driver(
     cand = partial_topb(tbl.select(["host", "rank"]).to_pandas())
     if cand.num_rows == 0:
         return pending, None  # no throttled host in this frontier
-    thr = shard_thresholds(cand.to_pandas())
-    # null threshold = unthrottled host: fetch now
-    t = pc.take(thr["_thr"], pc.index_in(tbl["host"], value_set=thr["host"].combine_chunks()))
-    now = pc.fill_null(pc.less_equal(tbl["rank"], t), True)
+    now = _fetch_now(tbl, shard_thresholds(cand.to_pandas()))
     fetch_now = tbl.filter(now)
     return (
         presplit(fetch_now, fetch_blocks(fetch_now.num_rows)),
@@ -183,26 +179,33 @@ def politeness_split(
         # no throttled host present in this round's frontier (e.g. override
         # hosts crawled out in earlier rounds): everything fetches now —
         # skip the flag map + materialize + two filter executions over the
-        # whole frontier (behavior-identical; crawl handles deferred=None
-        # and keeps its presplit fast path)
+        # whole frontier (behavior-identical; crawl handles deferred=None)
         return pending, None
 
     if n_hosts <= _BROADCAST_LIMIT:
-        tbl = thresholds.to_pandas()
-        thr_ref = ray.put(dict(zip(tbl["host"], tbl["_thr"].astype(np.int64))))
+        thr_ref = ray.put(collect_table(thresholds))
 
-        def flag(batch: pd.DataFrame) -> pa.Table:
+        def flag(batch: pa.Table) -> pa.Table:
             from spider_ray.stages.broadcast import get_broadcast
 
-            return _flag(batch, get_broadcast(thr_ref))
+            # metadata-free out: the b'pandas' blob breaks hash(Schema) in
+            # downstream coalesces and the frontier union
+            batch = batch.replace_schema_metadata(None)
+            return batch.append_column("_fetch_now", _fetch_now(batch, get_broadcast(thr_ref)))
 
-        flagged = pending.map_batches(flag, batch_format="pandas")
+        flagged = pending.map_batches(flag, batch_format="pyarrow")
     else:
+
+        def join_flag(rows: pd.DataFrame, thr: pd.DataFrame) -> pa.Table:
+            rows = pa.Table.from_pandas(rows, preserve_index=False).replace_schema_metadata(None)
+            thr = pa.Table.from_pandas(thr, schema=_THRESHOLD_SCHEMA, preserve_index=False)
+            return rows.append_column("_fetch_now", _fetch_now(rows, thr))
+
         flagged = shard_join(
             pending,
             thresholds,
             "host",
-            lambda rows, thr: _flag(rows, thr.set_index("host")["_thr"]),
+            join_flag,
             # never reached: the frontier has rows here, and every one of
             # them comes back flagged
             pa.schema([]),

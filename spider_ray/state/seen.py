@@ -218,11 +218,11 @@ class UrlSeenShard:
     (``ray.remote(UrlSeenShard)``); all methods are called via actor handles
     from inside ``map_batches`` tasks, which serializes access per shard."""
 
-    def __init__(self, mode: str = "exact", bloom_bits: int = 1 << 24, n_hashes: int = 7):
+    def __init__(self, mode: str = "exact", bloom_bits: int = 1 << 24):
         if mode == "exact":
             self._seen = ExactSeen()
         elif mode == "bloom":
-            self._seen = BloomSeen(bloom_bits, n_hashes)
+            self._seen = BloomSeen(bloom_bits)
         else:
             # a typo'd mode silently falling back to bloom would DROP urls
             # (bloom false positives) while the caller believes they ran

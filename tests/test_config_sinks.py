@@ -95,9 +95,12 @@ def test_no_cache_mode_matches_oracle(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_no_cache_distributed_refill_matches_oracle(tmp_path):
+def test_no_cache_distributed_refill_matches_oracle(tmp_path, monkeypatch):
+    from spider_ray.pipelines import crawl as crawl_mod
+
     # every round with candidates takes the distributed sort+rank refill
-    store = _no_cache_crawl_matches_oracle(tmp_path, small_round_rows=0)
+    monkeypatch.setattr(crawl_mod, "_DRIVER_ROWS", 0)
+    store = _no_cache_crawl_matches_oracle(tmp_path)
     assert store["url"].duplicated().any()
 
 

@@ -62,28 +62,8 @@ def test_engine_matches_oracle_depths(corpus_dir, corpus_dict, tmp_path, depth):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_engine_matches_oracle_with_politeness(
-    corpus_dir, corpus_dict, tmp_path, monkeypatch
-):
-    import ray
-
-    from spider_ray.pipelines import crawl as crawl_mod
-
-    frontiers = []
-    split = crawl_mod.politeness_split
-
-    def recording_split(pending, *args, **kwargs):
-        frontiers.append((pending.count(), pending.num_blocks()))
-        return split(pending, *args, **kwargs)
-
-    monkeypatch.setattr(crawl_mod, "politeness_split", recording_split)
+def test_engine_matches_oracle_with_politeness(corpus_dir, corpus_dict, tmp_path):
     res, store = _run_engine(corpus_dir, tmp_path, max_depth=2, per_host_budget=3)
-    # deferring rounds must not grow the frontier by a block per round
-    cpus = int(ray.cluster_resources()["CPU"])
-    batch = crawl_mod.CrawlConfig().fetch_batch_size
-    assert len(frontiers) > 3 and all(
-        blocks <= crawl_mod._target_blocks(rows, cpus, batch) for rows, blocks in frontiers
-    ), frontiers
     oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=2, per_host_budget=3)
     _assert_matches_oracle(res, store, oracle)
     # politeness keeps the stored url set (quirk q5 contract), though not
@@ -93,14 +73,72 @@ def test_engine_matches_oracle_with_politeness(
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_engine_matches_oracle_with_politeness_distributed_split(
-    corpus_dir, corpus_dict, tmp_path, distributed_splits
+@pytest.mark.parametrize("budget", [None, 3])
+@pytest.mark.parametrize("bound", [None, 30], ids=["default_bound", "bound30"])
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+def test_frontiers_at_or_under_the_bound_arrive_cut(
+    corpus_dir, corpus_dict, tmp_path, monkeypatch, budget, bound, resume
 ):
-    # small_checkpoint_rows=0: no frontier is small enough to split on the
-    # driver, so every round runs the distributed threshold reduce
-    res, store = _run_engine(
-        corpus_dir, tmp_path, max_depth=2, per_host_budget=3, small_checkpoint_rows=0
-    )
+    """Every frontier of at most ``_DRIVER_ROWS`` rows reaches the split
+    already cut to ``_target_blocks``. With the bound at 30, round 1 (37
+    candidates, 27 claims) ranks through the distributed refill in front
+    of a frontier the driver holds; with ``resume`` the first round after
+    the resume counts too."""
+    import ray
+
+    from spider_ray.pipelines import crawl as crawl_mod
+
+    if bound is not None:
+        monkeypatch.setattr(crawl_mod, "_DRIVER_ROWS", bound)
+    frontiers = []
+    split = crawl_mod.politeness_split
+
+    def recording_split(pending, *args, **kwargs):
+        frontiers.append((pending.count(), pending.num_blocks()))
+        return split(pending, *args, **kwargs)
+
+    monkeypatch.setattr(crawl_mod, "politeness_split", recording_split)
+    refills = []
+    rank = crawl_mod.assign_ranks
+
+    def recording_rank(*args, **kwargs):
+        ranked, n = rank(*args, **kwargs)
+        refills.append(n)
+        return ranked, n
+
+    monkeypatch.setattr(crawl_mod, "assign_ranks", recording_rank)
+    out = str(tmp_path / "out")
+    kw = dict(max_depth=2, per_host_budget=budget)
+    if resume:
+        assert not crawl_mod.crawl(corpus_dir, SEEDS, out, max_rounds=2, **kw).finished
+        del frontiers[:], refills[:]
+    res = crawl_mod.crawl(corpus_dir, SEEDS, out, resume=resume, **kw)
+    cpus = int(ray.cluster_resources()["CPU"])
+    batch = crawl_mod.CrawlConfig().fetch_batch_size
+    held = [(rows, n) for rows, n in frontiers if rows <= crawl_mod._DRIVER_ROWS]
+    assert held and all(
+        n <= crawl_mod._target_blocks(rows, cpus, batch) for rows, n in held
+    ), frontiers
+    # the 30-row bound ranks round 1 (37 candidates) through the
+    # distributed refill; the resumed crawl starts after that round
+    assert bool(refills) == (bound is not None and not resume), refills
+    store = crawl_mod.read_store(out).to_pandas()
+    oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=2, per_host_budget=budget)
+    # a resumed crawl's counters carry the earlier rounds' totals, and its
+    # shards hold every claim again after the replay
+    _assert_matches_oracle(res, store, oracle)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_engine_matches_oracle_with_politeness_distributed_split(
+    corpus_dir, corpus_dict, tmp_path, distributed_splits, monkeypatch
+):
+    from spider_ray.pipelines import crawl as crawl_mod
+
+    # _DRIVER_ROWS=0: no frontier is small enough to split on the driver,
+    # so every round runs the distributed threshold reduce
+    monkeypatch.setattr(crawl_mod, "_DRIVER_ROWS", 0)
+    res, store = _run_engine(corpus_dir, tmp_path, max_depth=2, per_host_budget=3)
     assert len(distributed_splits) == len(res.rounds) > 3
     oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=2, per_host_budget=3)
     _assert_matches_oracle(res, store, oracle)
@@ -223,10 +261,12 @@ def test_engine_robots_table_with_budgets(corpus_dir, corpus_dict, tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_engine_robots_table_with_budgets_distributed_split(
-    corpus_dir, corpus_dict, tmp_path, distributed_splits
+    corpus_dir, corpus_dict, tmp_path, distributed_splits, monkeypatch
 ):
+    from spider_ray.pipelines import crawl as crawl_mod
     from spider_ray.robots import load_robots_table, write_robots_table
 
+    monkeypatch.setattr(crawl_mod, "_DRIVER_ROWS", 0)
     path = write_robots_table(
         str(tmp_path / "robots.parquet"),
         rules={"h1.example": [""], "h2.example": ["/p1"]},
@@ -239,7 +279,6 @@ def test_engine_robots_table_with_budgets_distributed_split(
         max_depth=2,
         robots=path,
         per_host_budget=5,
-        small_checkpoint_rows=0,
     )
     assert len(distributed_splits) == len(res.rounds)
     oracle = crawl_oracle(
@@ -255,29 +294,25 @@ def test_engine_robots_table_with_budgets_distributed_split(
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_engine_distributed_rank_and_big_checkpoint_paths(corpus_dir, corpus_dict, tmp_path):
+def test_engine_distributed_rank_and_big_checkpoint_paths(
+    corpus_dir, corpus_dict, tmp_path, monkeypatch
+):
+    from spider_ray.pipelines import crawl as crawl_mod
+    from spider_ray.pipelines.crawl import crawl, read_store
+
     # force the >threshold branches: distributed sort+rank for every round
     # (harvests reach Arrow through per-shard tasks) and streaming
     # write_parquet checkpoints — must be byte-equivalent to
     # the driver-side fast paths (and resume from a ray-written frontier)
-    res, store = _run_engine(
-        corpus_dir, tmp_path, max_depth=2, small_round_rows=0, small_checkpoint_rows=1
-    )
+    monkeypatch.setattr(crawl_mod, "_DRIVER_ROWS", 0)
+    res, store = _run_engine(corpus_dir, tmp_path, max_depth=2)
     oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=2)
     _assert_matches_oracle(res, store, oracle)
 
-    from spider_ray.pipelines.crawl import crawl, read_store
-
     out2 = str(tmp_path / "big_resume")
-    part = crawl(
-        corpus_dir, SEEDS, out2, max_depth=2,
-        small_round_rows=0, small_checkpoint_rows=1, max_rounds=1,
-    )
+    part = crawl(corpus_dir, SEEDS, out2, max_depth=2, max_rounds=1)
     assert not part.finished
-    resumed = crawl(
-        corpus_dir, SEEDS, out2, max_depth=2,
-        small_round_rows=0, small_checkpoint_rows=1, resume=True,
-    )
+    resumed = crawl(corpus_dir, SEEDS, out2, max_depth=2, resume=True)
     assert resumed.finished
     df = read_store(out2, canonical_order=True).to_pandas()
     assert df["url"].tolist() == oracle.canonical_order()
@@ -398,6 +433,32 @@ def test_bloom_mode_no_false_negatives(corpus_dir, corpus_dict, tmp_path):
     _assert_matches_oracle(res, store, oracle)
 
 
+def test_crawl_config_fields_are_pinned():
+    """Each CrawlConfig field is a user-facing knob. Adding one takes an
+    edit here: a path that only a test needs to force is a module
+    constant the test monkeypatches (``crawl._DRIVER_ROWS``), not a field."""
+    import dataclasses
+
+    from spider_ray.pipelines.crawl import CrawlConfig
+
+    assert [f.name for f in dataclasses.fields(CrawlConfig)] == [
+        "max_depth",
+        "per_host_budget",
+        "robots",
+        "host_budgets",
+        "seen_shards",
+        "seen_mode",
+        "use_cache",
+        "bloom_bits",
+        "fetch_mode",
+        "fetch_batch_size",
+        "parse_batch_size",
+        "max_rounds",
+        "proxy",
+        "collect_shard_stats",
+    ]
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_unknown_modes_rejected_before_shards_are_taken(corpus_dir, tmp_path):
     from spider_ray.pipelines import crawl as crawl_mod
@@ -409,9 +470,12 @@ def test_unknown_modes_rejected_before_shards_are_taken(corpus_dir, tmp_path):
         {"fetch_mode": "indexed_actors"},
         {"fetch_mode": "partioned"},
         {"seen_mode": "cuckoo"},
+        {"max_depth": 128},
+        {"max_depth": -1},
+        {"seen_shards": 0},
     ):
         out = tmp_path / "bad"
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ValueError, match="unknown|max_depth|seen_shards"):
             crawl_mod.crawl(corpus_dir, SEEDS, str(out), **bad)
         assert not out.exists(), bad
         assert _pooled_shards() == pooled, bad

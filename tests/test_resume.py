@@ -72,14 +72,16 @@ def test_resume_with_politeness_matches_oracle(corpus_dir, tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_resume_with_politeness_matches_oracle_distributed_split(
-    corpus_dir, tmp_path, distributed_splits
+    corpus_dir, tmp_path, distributed_splits, monkeypatch
 ):
-    # small_checkpoint_rows=0: every split runs the distributed path, and
-    # the frontier checkpoints stream through write_parquet
+    from spider_ray.pipelines import crawl as crawl_mod
     from spider_ray.pipelines.crawl import crawl
 
+    # _DRIVER_ROWS=0: every split runs the distributed path, and the
+    # frontier checkpoints stream through write_parquet
+    monkeypatch.setattr(crawl_mod, "_DRIVER_ROWS", 0)
     out = str(tmp_path / "pol")
-    kw = dict(max_depth=2, per_host_budget=4, small_checkpoint_rows=0)
+    kw = dict(max_depth=2, per_host_budget=4)
     part = crawl(corpus_dir, SEEDS, out, max_rounds=2, **kw)
     assert not part.finished
     resumed = crawl(corpus_dir, SEEDS, out, resume=True, **kw)
