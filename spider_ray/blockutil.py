@@ -211,11 +211,11 @@ def default_shuffle_partitions() -> int:
 
 
 # shard_exchange runs one task at or below this many input rows, and about
-# one shard per this many rows above it (capped at one per CPU). With 4 Ray
-# CPUs on a one-core host, a sessionize-style lexsort + reduceat kernel ran
+# one shard per this many rows above it (capped at one per CPU). With Ray at
+# 4 CPUs on a 4-CPU host, a sessionize-style lexsort + reduceat kernel ran
 # fastest as one task up to ~1.25M rows, and two shards first beat one task
-# between 1.5M and 1.75M (figures in CHANGES.md); on a host with a core per
-# CPU the shards run in parallel and the crossover would be lower
+# between 1.5M and 1.75M (figures in CHANGES.md, which call the host
+# one-core: its nproc honoured OMP_NUM_THREADS=1)
 _ROWS_PER_SHARD = 1_500_000
 # ... and one shard per this many input bytes (block metadata), whichever
 # gives more shards: a few wide rows (minhash sketches, embedding vectors)

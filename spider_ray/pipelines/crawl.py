@@ -121,7 +121,7 @@ class CrawlConfig:
     use_cache: bool = True  # False = reference --no-cache: no claims at all
     bloom_bits: int = 1 << 24
     # FETCH_MODES: "indexed" (broadcast corpus, cached task fn) |
-    # "partitioned" (per-round reads of the frontier hosts' corpus files)
+    # "partitioned" (per-batch reads of the batch hosts' corpus files)
     fetch_mode: str = "indexed"
     fetch_batch_size: int = 1024
     # parse batches bound BOTH per-batch memory (html + parsed text) AND the
@@ -514,6 +514,11 @@ def crawl(
         raise ValueError(f"max_depth must be in 0..{claim.MAX_DEPTH}, got {cfg.max_depth}")
     if cfg.seen_shards < 1:
         raise ValueError(f"seen_shards must be >= 1, got {cfg.seen_shards}")
+    if cfg.bloom_bits < 64 or cfg.bloom_bits % 64:
+        raise ValueError(f"bloom_bits must be a positive multiple of 64, got {cfg.bloom_bits}")
+    for knob in ("fetch_batch_size", "parse_batch_size"):
+        if getattr(cfg, knob) < 1:
+            raise ValueError(f"{knob} must be >= 1, got {getattr(cfg, knob)}")
     if cfg.fetch_mode not in FETCH_MODES:
         raise ValueError(
             f"unknown fetch_mode {cfg.fetch_mode!r} (expected one of {FETCH_MODES})"
@@ -648,7 +653,7 @@ def _crawl_rounds(
             else:
                 from spider_ray.stages.fetch import fetch_partitioned
 
-                fetched = fetch_partitioned(fetch_now, corpus_path)
+                fetched = fetch_partitioned(fetch_now, corpus_path, cfg.fetch_batch_size)
 
             # ONE streaming execution for the whole round body: fetch →
             # parse → store-part write → robots gate → dedup+claim OFFER to

@@ -13,13 +13,16 @@ Two physical strategies (SURVEY.md §2.1 S1), chosen by ``fetch_mode``:
   all — and serves each batch with a vectorized ``searchsorted`` + one
   Arrow ``take``. This is the broadcast-small-side pattern — right whenever
   the corpus fits the cluster object store.
-- **partitioned**: per round, group the frontier by host and read only the
-  corpus files and row groups that hold those hosts' urls
-  (``fetch_partitioned``). Right when the corpus is far larger than the
-  object store: per-round I/O follows the frontier's hosts, not the corpus.
+- **partitioned**: the same per-batch map, but each batch reads only the
+  corpus files and row groups of its own hosts, pruned by per-host url
+  ranges (``fetch_partitioned``). Right when the corpus is far larger than
+  the object store: I/O follows the frontier's hosts, not the corpus.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 import pyarrow as pa
@@ -178,9 +181,9 @@ def fetch_indexed(frontier: Dataset, table_ref, batch_size: int) -> Dataset:
     )
 
 
-# one pyarrow dataset handle per worker PROCESS (not per group): the handle
+# one pyarrow dataset handle per worker PROCESS (not per batch): the handle
 # discovers and caches the corpus file listing + parquet metadata, which is
-# exactly the work a per-group re-open would repeat per host per round
+# exactly the work a per-batch re-open would repeat every round
 _PADS_CACHE: dict = {}
 
 
@@ -194,62 +197,51 @@ def _corpus_pads(path: str):
     return d
 
 
-def fetch_partitioned(
-    frontier: Dataset, corpus_path: str, sub_splits: int = 16
-) -> Dataset:
-    """Scale path for corpora far larger than the cluster object store:
-    read ONLY the corpus files covering the frontier.
+_HOST_URL = pa.schema([("host", pa.string()), ("url", pa.string())])
 
-    ``write_corpus`` lays the corpus out one file-set per host, so grouping
-    the frontier by host and filtering each host's lookup with a
-    ``min≤url≤max`` range + ``isin`` predicate lets parquet file/row-group
-    statistics prune everything the round doesn't touch — per-round I/O is
-    O(frontier's hosts), not O(corpus). This is the layout-aware pattern
-    that replaces the broadcast index at the 100 TB tier.
 
-    Hot-host safety (SURVEY.md §7 hard-part 5): the group key is
-    ``(host, rank % sub_splits)``, not host alone — a host owning 50 % of a
-    10^10-row frontier lands in ``sub_splits`` parallel tasks of bounded
-    size instead of ONE giant task. The trade: sub-groups of one host can
-    touch overlapping row-groups of that host's files (amplification ≤
-    sub_splits on the hot host only, against row-group-stat-pruned reads);
-    the wall-clock win is the 1/sub_splits task critical path."""
-    import pandas as pd
+def frontier_filter(urls, hosts) -> pc.Expression:
+    """Corpus read predicate for frontier urls and their hosts: OR over the
+    hosts of ``min_url_h ≤ url ≤ max_url_h``, AND ``url.isin(urls)``.
+    pyarrow prunes parquet files and row groups on the ranges' statistics,
+    not on ``isin``, and the corpus keeps each host in files of its own: one
+    range over several hosts would keep every file sorting between them."""
+    t = pa.table({"host": hosts, "url": urls}, schema=_HOST_URL)
+    t = t.sort_by([("host", "ascending"), ("url", "ascending")])
+    h, u = t.column("host").to_numpy(zero_copy_only=False), t.column("url").to_pylist()
+    # first row of every host, then the end: each host's urls are u[i:j]
+    bounds = [0, *(np.flatnonzero(h[1:] != h[:-1]) + 1), len(u)] if u else []
+    url = pc.field("url")
+    ranges = ((url >= u[i]) & (url <= u[j - 1]) for i, j in zip(bounds, bounds[1:]))
+    keep = functools.reduce(operator.or_, ranges, pc.scalar(False))  # no urls → no file
+    return keep & url.isin(t.column("url").combine_chunks())
 
-    def add_sub(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(
-            _sub=(b["rank"].to_numpy() % sub_splits).astype(np.int64)
-        )
 
-    def fetch_group(g: pd.DataFrame) -> pa.Table:
-        urls = sorted(g["url"].tolist())
-        dset = _corpus_pads(corpus_path)
-        flt = (
-            (pc.field("url") >= urls[0])
-            & (pc.field("url") <= urls[-1])
-            & pc.field("url").isin(urls)
-        )
-        t = dset.to_table(filter=flt, columns=["url", "html"])
+def fetch_partitioned(frontier: Dataset, corpus_path: str, batch_size: int) -> Dataset:
+    """Scale path for corpora far larger than the cluster object store: one
+    per-batch map, like ``fetch_indexed``, with no exchange. Each batch reads
+    ONLY the corpus files and row groups holding its own hosts' urls
+    (``frontier_filter``) and joins them back by url, so I/O is O(frontier's
+    hosts), not O(corpus) — the layout-aware pattern that replaces the
+    broadcast index at the 100 TB tier.
+
+    Hot-host safety (SURVEY.md §7 hard-part 5) comes from the row cut: a
+    hot host's rows spread over every batch, so no task gets the whole
+    host. The trade: a host's files are scanned (after row-group pruning)
+    once per batch that holds it, not once per round."""
+
+    def fetch(batch: pa.Table) -> pa.Table:
+        flt = frontier_filter(batch.column("url"), batch.column("host"))
+        t = _corpus_pads(corpus_path).to_table(filter=flt, columns=["url", "html"])
         # Arrow-native inner merge on url (corpus urls are unique): a pandas
         # round-trip would downgrade html large_binary → binary and attach
         # the b'pandas' schema blob that breaks downstream schema hashing
-        g_tbl = pa.table(
-            {
-                "url": pa.array(g["url"], pa.string()),
-                "depth": pa.array(g["depth"]),
-                "rank": pa.array(g["rank"], pa.int64()),
-            }
-        )
-        pos = pc.index_in(g_tbl.column("url"), value_set=t.column("url").combine_chunks())
+        rows = batch.select(["url", "depth", "rank"])
+        pos = pc.index_in(rows.column("url"), value_set=t.column("url").combine_chunks())
         hit = pos.is_valid()
-        html = t.column("html").take(pos.filter(hit))
-        return g_tbl.filter(hit).append_column("html", html)
+        return rows.filter(hit).append_column("html", t.column("html").take(pos.filter(hit)))
 
-    return (
-        frontier.map_batches(add_sub, batch_format="pandas")
-        .groupby(["host", "_sub"])
-        .map_groups(fetch_group, batch_format="pandas")
-    )
+    return frontier.map_batches(fetch, batch_format="pyarrow", batch_size=batch_size)
 
 
 _REF_CACHE: dict = {}

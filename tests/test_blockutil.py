@@ -443,11 +443,6 @@ def test_no_hand_rolled_exchange_outside_shard_exchange():
     # (file, top-level function) → why it may call map_groups
     allowed = {
         ("blockutil.py", "_exchange"): "the multi-shard branch of shard_exchange itself",
-        ("fetch.py", "fetch_partitioned"): (
-            "each (host, sub) group costs one parquet scan, so the task count "
-            "must follow the hosts, not the rows and bytes shard_exchange "
-            "sizes its shards by"
-        ),
     }
     query_pipelines = {"relational.py", "textops.py", "dedup.py", "graph.py", "ann.py"}
     found = []

@@ -234,6 +234,26 @@ def test_engine_partitioned_fetch_mode(corpus_dir, corpus_dict, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("bound", [None, 0], ids=["default_bound", "bound0"])
+def test_engine_partitioned_fetch_with_politeness(
+    corpus_dir, corpus_dict, tmp_path, distributed_splits, monkeypatch, bound
+):
+    # bound 0: every frontier is split by the distributed path and fetch_now
+    # reaches the partitioned fetch repartitioned lazily, not cut on the driver
+    from spider_ray.pipelines import crawl as crawl_mod
+
+    if bound is not None:
+        monkeypatch.setattr(crawl_mod, "_DRIVER_ROWS", bound)
+    res, store = _run_engine(
+        corpus_dir, tmp_path, max_depth=3, per_host_budget=3, fetch_mode="partitioned"
+    )
+    assert len(distributed_splits) == (0 if bound is None else len(res.rounds))
+    assert len(res.rounds) > 3
+    oracle = crawl_oracle(corpus_dict, SEEDS, max_depth=3, per_host_budget=3)
+    _assert_matches_oracle(res, store, oracle)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_engine_robots_table_with_budgets(corpus_dir, corpus_dict, tmp_path):
     from spider_ray.robots import load_robots_table, write_robots_table
 
@@ -473,9 +493,13 @@ def test_unknown_modes_rejected_before_shards_are_taken(corpus_dir, tmp_path):
         {"max_depth": 128},
         {"max_depth": -1},
         {"seen_shards": 0},
+        {"seen_mode": "bloom", "bloom_bits": 100},
+        {"bloom_bits": 0},
+        {"fetch_batch_size": 0},
+        {"parse_batch_size": 0},
     ):
         out = tmp_path / "bad"
-        with pytest.raises(ValueError, match="unknown|max_depth|seen_shards"):
+        with pytest.raises(ValueError, match="unknown|max_depth|seen_shards|bloom_bits|batch_size"):
             crawl_mod.crawl(corpus_dir, SEEDS, str(out), **bad)
         assert not out.exists(), bad
         assert _pooled_shards() == pooled, bad
@@ -561,8 +585,8 @@ def test_corpus_index_all_miss_batch():
 
 @pytest.mark.usefixtures("ray_session")
 def test_engine_partitioned_fetch_mode_full_skew(tmp_path):
-    # 100 % skew: ONE host owns the whole frontier. The (host, rank % S)
-    # sub-split must keep oracle equivalence while bounding task sizes.
+    # 100 % skew: ONE host owns the whole frontier. The per-batch fetch
+    # spreads it over every batch, and each batch reads that host's files.
     corpus = write_corpus(
         str(tmp_path / "hot"), n_pages=150, n_hosts=1, links_per_page=5
     )
@@ -578,6 +602,92 @@ def test_engine_partitioned_fetch_mode_full_skew(tmp_path):
     store = read_store(str(tmp_path / "out")).to_pandas()
     oracle = crawl_oracle(cdict, seeds, max_depth=3)
     _assert_matches_oracle(res, store, oracle)
+
+
+def _host_of(urls: list[str]) -> list[str]:
+    return [u.split("/")[2] for u in urls]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_partitioned_fetch_matches_corpus_index(tmp_path):
+    """The per-batch partitioned fetch returns the broadcast index's rows
+    over a many-host frontier cut into a few blocks: a hot host spread over
+    every block, an all-miss block, and dangling urls (an unknown page of a
+    known host, an unknown host)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from spider_ray.stages.fetch import _CorpusIndex, fetch_partitioned
+    from spider_ray.state.seen import url_hash_batch
+
+    corpus = write_corpus(str(tmp_path / "c"), n_pages=300, n_hosts=12, links_per_page=3)
+    tbl = pq.read_table(corpus, columns=["url", "html"])
+    hashes = url_hash_batch(tbl.column("url").to_pylist())
+    order = np.argsort(hashes, kind="stable").astype(np.int64)
+    index = _CorpusIndex((tbl, hashes[order], order))
+
+    urls = tbl.column("url").to_pylist()
+    hot = [u for u in urls if u.startswith("https://h0.example/")]
+    cold = [u for u in urls if not u.startswith("https://h0.example/")][::3]
+    dangling = ["https://h3.example/p99999", "https://nohost.example/p1", "https://h0.example/p9999"]
+    blocks = [hot[i::3] + cold[i::3] + [dangling[i]] for i in range(3)]
+    blocks.append(["https://h5.example/p77777", "https://zz.example/"])  # all miss
+    assert all(len(b) > 0 for b in blocks) and len(hot) > 30
+    rank = iter(range(10**6))
+    parts = [
+        pa.table(
+            {
+                "url": pa.array(b, pa.string()),
+                "host": pa.array(_host_of(b), pa.string()),
+                "depth": pa.array([i % 3 for i in range(len(b))], pa.int32()),
+                "rank": pa.array([next(rank) for _ in b], pa.int64()),
+            }
+        )
+        for b in blocks
+    ]
+    frontier = ray.data.from_arrow(parts)
+    got = pa.concat_tables(
+        ray.get(r) for r in fetch_partitioned(frontier, corpus, 16).to_arrow_refs()
+    )
+    want = pa.concat_tables(index.lookup(p) for p in parts)
+    assert got.schema.names == ["url", "depth", "rank", "html"]
+    assert got.num_rows == want.num_rows == sum(len(b) for b in blocks) - 5
+    assert got.sort_by("url").equals(want.sort_by("url"))
+
+
+def test_frontier_filter_prunes_to_the_batch_hosts(tmp_path):
+    """The shared predicate keeps only the files of a multi-host batch's
+    hosts; one min..max range over the same urls keeps the files of every
+    host sorting between them too."""
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    from spider_ray.stages.fetch import frontier_filter
+
+    corpus = write_corpus(str(tmp_path / "c"), n_pages=120, n_hosts=6, links_per_page=3)
+    dset = pads.dataset(corpus)
+
+    def kept(flt):
+        return {
+            os.path.basename(f.path)
+            for f in dset.get_fragments()
+            if any(piece.row_groups for piece in f.split_by_row_group(flt))
+        }
+
+    urls = ["https://h1.example/p0", "https://h1.example/p3", "https://h4.example/p2"]
+    assert kept(frontier_filter(urls, _host_of(urls))) == {
+        "pages-h0001-p0000000.parquet",
+        "pages-h0004-p0000000.parquet",
+    }
+    got = dset.to_table(filter=frontier_filter(urls, _host_of(urls)), columns=["url"])
+    assert sorted(got.column("url").to_pylist()) == urls
+    one_range = (pc.field("url") >= urls[0]) & (pc.field("url") <= urls[-1])
+    assert len(kept(one_range & pc.field("url").isin(urls))) == 4
+    assert kept(frontier_filter([], [])) == set()
 
 
 @pytest.mark.usefixtures("ray_session")
