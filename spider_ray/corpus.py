@@ -26,6 +26,7 @@ Generation spec (FIXTURES.md §1), fully seeded/deterministic:
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from datetime import datetime, timedelta
 
 import pyarrow as pa
@@ -51,6 +52,7 @@ _VOCAB = (
     "nostrud exercitation ullamco laboris nisi aliquip commodo consequat"
 ).split()
 _BASE_TS = datetime(2024, 1, 1)
+_CHUNK = 5000  # pages per corpus file (write_corpus)
 
 
 def host_page_counts(n_pages: int, n_hosts: int, hot_share: float = 0.5) -> list[int]:
@@ -127,17 +129,16 @@ def build_pages_slice(
     n_words: int,
     hot_share: float,
     host: int,
-    page_lo: int,
-    page_hi: int,
+    pages: Iterable[int],
 ) -> pa.Table:
-    """Materialize pages ``page_lo..page_hi-1`` of one host — the unit of
+    """Materialize the given pages of one host, in that order — the unit of
     parallel generation (each page depends only on the global counts and its
     own (seed, host, page) RNG)."""
     counts = host_page_counts(n_pages, n_hosts, hot_share)
     offset = sum(counts[:host])
 
     urls, tss, htmls, texts, langs = [], [], [], [], []
-    for j in range(page_lo, min(page_hi, counts[host])):
+    for j in pages:
         ordinal = offset + j
         url, html, text = render_page(
             host, j, ordinal, counts, links_per_page, seed, n_words
@@ -173,7 +174,7 @@ def build_pages_table(
     lo, hi = host_range if host_range else (0, n_hosts)
     return pa.concat_tables(
         build_pages_slice(
-            n_pages, n_hosts, links_per_page, seed, n_words, hot_share, k, 0, counts[k]
+            n_pages, n_hosts, links_per_page, seed, n_words, hot_share, k, range(counts[k])
         )
         for k in range(lo, hi)
     )
@@ -189,42 +190,40 @@ def write_corpus(
     hot_share: float = 0.5,
 ) -> str:
     """Write the corpus as parquet, one file per host-chunk so reads
-    parallelize and generation could be sharded. Returns ``out_dir``."""
+    parallelize and generation could be sharded. Returns ``out_dir``.
+
+    A host's pages are cut into files of ``_CHUNK`` pages in url order, and
+    each file holds its rows in url order: parquet url statistics compare
+    strings, so a cut by numeric page id (``p0..p4999``, ``p5000..``) would
+    give every file of a big host about the same ``min..max`` url range, and
+    the partitioned fetch's per-host range predicate
+    (``stages.fetch.frontier_filter``) could prune none of them."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
     counts = host_page_counts(n_pages, n_hosts, hot_share)
-    chunk = 5000
-    units = [
-        (k, lo, min(lo + chunk, counts[k]))
-        for k in range(n_hosts)
-        for lo in range(0, counts[k], chunk)
-    ]
+    units = []
+    for k in range(n_hosts):
+        # same host prefix: url order is the order of str(page id)
+        ids = sorted(range(counts[k]), key=str)
+        units += [(k, lo, ids[lo : lo + _CHUNK]) for lo in range(0, counts[k], _CHUNK)]
+
+    def write_unit(unit) -> None:
+        k, lo, ids = unit
+        tbl = build_pages_slice(
+            n_pages, n_hosts, links_per_page, seed, n_words, hot_share, k, ids
+        )
+        pq.write_table(tbl, os.path.join(out_dir, f"pages-h{k:04d}-p{lo:07d}.parquet"))
 
     import ray
 
     if ray.is_initialized() and n_pages >= 20_000:
-        # parallel generation: one task per (host, page-range) slice
-        @ray.remote
-        def _gen(unit):
-            k, lo, hi = unit
-            tbl = build_pages_slice(
-                n_pages, n_hosts, links_per_page, seed, n_words, hot_share, k, lo, hi
-            )
-            pq.write_table(
-                tbl, os.path.join(out_dir, f"pages-h{k:04d}-p{lo:07d}.parquet")
-            )
-            return tbl.num_rows
-
-        ray.get([_gen.remote(u) for u in units])
+        # parallel generation: one task per (host, url-range) slice
+        write_remote = ray.remote(write_unit)
+        ray.get([write_remote.remote(u) for u in units])
     else:
-        for k, lo, hi in units:
-            tbl = build_pages_slice(
-                n_pages, n_hosts, links_per_page, seed, n_words, hot_share, k, lo, hi
-            )
-            pq.write_table(
-                tbl, os.path.join(out_dir, f"pages-h{k:04d}-p{lo:07d}.parquet")
-            )
+        for u in units:
+            write_unit(u)
     return out_dir
 
 

@@ -27,9 +27,10 @@ the SAME file via tmp+rename instead of duplicating rows.
 ``store_ops.finalize_store`` remains as a belt-and-braces net for exactness
 under adversarial failure modes (e.g. a retry that re-batches differently).
 
-HTML parsing is irreducibly per-document Python (stdlib html.parser, no
-vectorized kernel exists); the loop is over a batch inside one task, with
-everything around it (take/filter/encode) vectorized Arrow.
+The parse (``parse.parse_page``) is per-document: a regex fast path on
+plain pages and stdlib ``html.parser`` on the rest; the loop is over a batch
+inside one task, with everything around it (take/filter/encode) vectorized
+Arrow.
 """
 
 from __future__ import annotations

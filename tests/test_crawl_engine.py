@@ -691,6 +691,55 @@ def test_frontier_filter_prunes_to_the_batch_hosts(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_hot_host_files_cut_in_url_order_prune_and_crawl(tmp_path, monkeypatch):
+    """``write_corpus`` cuts a host that spans several files in url order,
+    so the files' url ranges do not overlap: a batch of the hot host's urls
+    keeps only the files whose range holds them, and a partitioned crawl
+    over that corpus still equals the oracle."""
+    import os
+
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    import spider_ray.corpus as corpus_mod
+    from spider_ray.pipelines.crawl import crawl, read_store
+    from spider_ray.stages.fetch import frontier_filter
+
+    monkeypatch.setattr(corpus_mod, "_CHUNK", 20)
+    corpus = write_corpus(str(tmp_path / "c"), n_pages=160, n_hosts=4, links_per_page=5)
+    dset = pads.dataset(corpus)
+    ranges = {}  # hot-host file -> (min url, max url)
+    for f in dset.get_fragments():
+        urls = pq.read_table(f.path, columns=["url"]).column("url").to_pylist()
+        assert urls == sorted(urls)
+        if urls[0].startswith("https://h0.example/"):
+            ranges[os.path.basename(f.path)] = (urls[0], urls[-1])
+    assert len(ranges) == 4  # 80 hot pages in files of 20
+    spans = sorted(ranges.values())
+    assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))  # no overlap
+
+    def kept(batch):
+        flt = frontier_filter(batch, _host_of(batch))
+        return {
+            os.path.basename(f.path)
+            for f in dset.get_fragments()
+            if any(piece.row_groups for piece in f.split_by_row_group(flt))
+        }
+
+    # one url of one file, then one url of each of two neighbouring files
+    for batch in (["https://h0.example/p1"], [spans[1][1], spans[2][0]]):
+        holding = {n for n, (lo, hi) in ranges.items() if any(lo <= u <= hi for u in batch)}
+        assert len(holding) == len(batch)
+        assert kept(batch) == holding
+
+    cdict = corpus_as_dict(build_pages_table(n_pages=160, n_hosts=4, links_per_page=5))
+    assert cdict == corpus_as_dict(pq.read_table(corpus))  # the same rows
+    res = crawl(corpus, SEEDS, str(tmp_path / "out"), max_depth=3, fetch_mode="partitioned")
+    store = read_store(str(tmp_path / "out")).to_pandas()
+    _assert_matches_oracle(res, store, crawl_oracle(cdict, SEEDS, max_depth=3))
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_corpus_index_rebuilds_on_hash_sentinel_mismatch(corpus_dir):
     """A persisted index whose sentinel doesn't match this process's hash
     implementation must be rebuilt (not trusted by mtime) — otherwise a
