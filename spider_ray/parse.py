@@ -75,6 +75,18 @@ class _Extractor(HTMLParser):
         if self._in_title:
             self._title_parts.append(data)
 
+    def parse_marked_section(self, i: int, report: int = 1) -> int:
+        """``_markupbase`` raises ``AssertionError`` on a ``<![`` that is not
+        followed by a keyword it knows (``<![foo[x]]>``, a cut ``<![CD``,
+        ``<![ x>``). Such a section is a bogus comment up to the next ``>``,
+        the HTML5 tokenizer's rule; -1 (unterminated) leaves it to
+        ``goahead``, as for any other unterminated declaration."""
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            end = self.rawdata.find(">", i + 3)
+            return -1 if end < 0 else end + 1
+
     @property
     def title(self) -> str | None:
         if not self.title_found:

@@ -14,6 +14,13 @@ each round is one streaming Dataset pipeline:
     → HARVEST winners per shard → sort(claim_key) + dense rank  [_refill]
     → deferred + ranked → next pending (+ its checkpoint)
 
+The round body runs one fetch/parse task per frontier block, every task
+of a round at once: its fetch and parse batch sizes are capped at the
+block size (the fused op would otherwise bundle blocks up to its batch
+size), and it declares its small output blocks (``_BODY_BLOCK_BYTES``) on
+its own ``DataContext`` so Ray Data does not hold tasks back for output
+space it will not use. Each round's metrics row carries ``fetch_blocks``.
+
 One bound, ``_DRIVER_ROWS``, picks where each step runs. Up to it, the
 driver ranks the round's candidates (PARALLEL per-slice decode tasks), the
 politeness split runs on the driver with no execution, every frontier is
@@ -106,6 +113,14 @@ FRONTIER_SCHEMA = pa.schema(
 # sub-second driver sort, cheaper than a distributed execution
 _DRIVER_ROWS = 8_000_000
 
+# output block bytes the round body declares. Its output is one 16-byte
+# count row per batch (the candidate rows in the no-cache crawl), but until
+# a task of an execution returns, Ray Data (2.49) sizes each task's output
+# at target_max_block_size (128 MB by default) times the generator buffer;
+# with a small object store that estimate fills the op's budget and the
+# round's first task ran alone. Every round is a fresh execution
+_BODY_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class CrawlConfig:
@@ -123,6 +138,9 @@ class CrawlConfig:
     # FETCH_MODES: "indexed" (broadcast corpus, cached task fn) |
     # "partitioned" (per-batch reads of the batch hosts' corpus files)
     fetch_mode: str = "indexed"
+    # fetch_batch_size and parse_batch_size are upper bounds: a round's
+    # batches never exceed its frontier blocks (one fetch/parse task per
+    # block), so a round smaller than blocks × size gets smaller batches
     fetch_batch_size: int = 1024
     # parse batches bound BOTH per-batch memory (html + parsed text) AND the
     # dedup-offer granularity: each batch locally min-key-dedups its
@@ -641,19 +659,30 @@ def _crawl_rounds(
             t_politeness = time.perf_counter() - t_split
             n_fetch = pending_count if deferred is None else fetch_now.count()
             n_defer = pending_count - n_fetch
-            # fetch/parse parallelism == input block count. Up to the bound
-            # the frontier arrives cut to _target_blocks, and so does the
-            # driver split's fetch_now (a count that is block metadata);
-            # above it, fetch_now is repartitioned here
-            if pending_count > _DRIVER_ROWS and n_fetch > 0:
-                fetch_now = fetch_now.repartition(blocks(n_fetch))
+            # fetch_now comes in blocks(n_fetch) blocks: up to the bound the
+            # frontier arrives cut to _target_blocks, and so does the driver
+            # split's fetch_now (counts that are block metadata); above it,
+            # fetch_now is repartitioned here
+            if pending_count <= _DRIVER_ROWS:
+                n_blocks = fetch_now.num_blocks()
+            else:
+                n_blocks = blocks(n_fetch)
+                if n_fetch > 0:
+                    fetch_now = fetch_now.repartition(n_blocks)
+            # one fetch/parse task per block: the fused fetch+parse op
+            # bundles input blocks up to its larger batch size, so neither
+            # batch may exceed a block. A block above the configured sizes
+            # is still cut into batches of them inside its task
+            step = max(1, -(-n_fetch // blocks(n_fetch)))
+            fetch_batch = min(cfg.fetch_batch_size, step)
+            parse_batch = min(cfg.parse_batch_size, step)
 
             if cfg.fetch_mode == "indexed":
-                fetched = fetch_indexed(fetch_now, corpus_ref, cfg.fetch_batch_size)
+                fetched = fetch_indexed(fetch_now, corpus_ref, fetch_batch)
             else:
                 from spider_ray.stages.fetch import fetch_partitioned
 
-                fetched = fetch_partitioned(fetch_now, corpus_path, cfg.fetch_batch_size)
+                fetched = fetch_partitioned(fetch_now, corpus_path, fetch_batch)
 
             # ONE streaming execution for the whole round body: fetch →
             # parse → store-part write → robots gate → dedup+claim OFFER to
@@ -678,9 +707,12 @@ def _crawl_rounds(
             out = fetched.map_batches(
                 stage,
                 batch_format="pyarrow",
-                batch_size=cfg.parse_batch_size,
+                batch_size=parse_batch,
                 zero_copy_batch=True,
             )
+            # on the body's own context (a copy per frontier Dataset): the
+            # global DataContext stays as it is
+            out.context.target_max_block_size = _BODY_BLOCK_BYTES
             if cfg.use_cache:
                 ctbl = collect_table(out)  # runs the round body
                 crawled_this = int(pa.compute.sum(ctbl.column("crawled")).as_py()) if ctbl else 0
@@ -728,6 +760,7 @@ def _crawl_rounds(
                 {
                     "round": r,
                     "fetched": n_fetch,
+                    "fetch_blocks": n_blocks,
                     "crawled": crawled_this,
                     "misses": n_fetch - crawled_this,
                     "claimed": n_new,

@@ -186,6 +186,34 @@ def test_engine_invariant_to_batch_size(corpus_dir, corpus_dict, tmp_path):
     _assert_matches_oracle(res, store, oracle)
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_engine_parses_unknown_marked_sections(tmp_path):
+    """Pages holding a ``<![`` keyword html.parser's ``_markupbase`` does
+    not know (it raised there) crawl like any other page: every third page
+    gets ``<![foo[x]]>`` in front of its first link, every fifth a cut
+    ``<![CD``, which swallows that link up to its ``>``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    tbl = build_pages_table(n_pages=200, n_hosts=8, links_per_page=5)
+    html = [h.decode() for h in tbl.column("html").to_pylist()]
+    for i in range(0, len(html), 3):
+        html[i] = html[i].replace("<a ", "<![foo[x]]><a ", 1)
+    for i in range(0, len(html), 5):
+        html[i] = html[i].replace("<a ", "<![CD<a ", 1)
+    tbl = tbl.set_column(
+        tbl.schema.get_field_index("html"),
+        "html",
+        pa.array([h.encode() for h in html], pa.large_binary()),
+    )
+    (tmp_path / "corpus").mkdir()
+    pq.write_table(tbl, str(tmp_path / "corpus" / "pages.parquet"))
+    res, store = _run_engine(str(tmp_path / "corpus"), tmp_path, max_depth=2)
+    oracle = crawl_oracle(corpus_as_dict(tbl), SEEDS, max_depth=2)
+    _assert_matches_oracle(res, store, oracle)
+    assert any("<![CD" in t for t in store["text"])
+
+
 def _check_finalize_store_dedups_duplicate_parts(corpus_dir, tmp_path):
     # simulate a task-retry duplicated part file, then run the exactness net
     import glob
