@@ -89,17 +89,6 @@ def compact_table(t: pa.Table) -> pa.Table:
     )
 
 
-def presplit(tbl: pa.Table, nblocks: int) -> Dataset:
-    """``tbl`` as a materialized Dataset of ``nblocks`` compacted slices
-    (one empty block for an empty table)."""
-    if tbl.num_rows == 0:
-        return ray.data.from_arrow(tbl)
-    step = -(-tbl.num_rows // nblocks)
-    return ray.data.from_arrow(
-        [compact_table(tbl.slice(i, step)) for i in range(0, tbl.num_rows, step)]
-    )
-
-
 def unique_pairs(lo, hi):
     """Dedup sorted ``(lo, hi)`` int64 pair arrays, returned sorted.
 

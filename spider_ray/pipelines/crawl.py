@@ -2,32 +2,33 @@
 
 Distributed implementation of the canonical crawl semantics defined by the
 sequential oracle (spider_ray.oracle — SURVEY.md §3.1); the reference
-recursion (crawler.py:92-119) becomes a driver loop over BFS rounds where
-each round is one streaming Dataset pipeline:
+recursion (crawler.py:92-119) becomes a driver loop over BFS rounds:
 
-  pending frontier (materialized; url, host, depth, rank)
+  frontier (url, host, depth, rank; an Arrow table on the driver)
     → politeness_split                      [per-host budgets, deferral]
-    → ONE streaming execution:
+    → ONE Ray task per fetch_now block, every task of a round at once:
         fetch (broadcast index | partitioned read)   [fetch_mode]
         → parse + store-part write + robots gate
         → dedup+claim OFFER to seen shards  [all-to-all = url-hash routing]
     → HARVEST winners per shard → sort(claim_key) + dense rank  [_refill]
-    → deferred + ranked → next pending (+ its checkpoint)
+    → deferred + ranked → next frontier (+ its checkpoint)
 
-The round body runs one fetch/parse task per frontier block, every task
-of a round at once: its fetch and parse batch sizes are capped at the
-block size (the fused op would otherwise bundle blocks up to its batch
-size), and it declares its small output blocks (``_BODY_BLOCK_BYTES``) on
-its own ``DataContext`` so Ray Data does not hold tasks back for output
-space it will not use. Each round's metrics row carries ``fetch_blocks``.
+The round body starts no Ray Data execution. ``fetch_now`` is cut into
+``_target_blocks`` blocks and each block is one ``_round_body_task``, which
+fetches it in ``fetch_batch_size``-row batches and parses the fetched rows
+in ``parse_batch_size``-row batches. Each round's metrics row carries
+``fetch_blocks`` (its task count).
 
-One bound, ``_DRIVER_ROWS``, picks where each step runs. Up to it, the
-driver ranks the round's candidates (PARALLEL per-slice decode tasks), the
-politeness split runs on the driver with no execution, every frontier is
-built already cut to ``_target_blocks`` (so fetch never repartitions), and
-the checkpoint writer thread collects the frontier's block refs. Above it:
-a distributed sort+rank, the distributed threshold reduce, a repartition
-of ``fetch_now`` and a streaming ``write_parquet`` checkpoint.
+One bound, ``_DRIVER_ROWS``, picks where the frontier lives. Up to it, the
+frontier, the split's two parts and the ranked claims are Arrow tables on
+the driver: the driver ranks the round's candidates (PARALLEL per-slice
+decode tasks when there is more than one slice), the politeness split runs
+on the driver with no execution, and the checkpoint writer thread writes
+the table. The one Dataset a round builds there is ``pending``, the
+split's input. Above it the frontier is a materialized Dataset: a
+distributed sort+rank, the distributed threshold reduce, a repartition of
+``fetch_now`` whose block refs go to the same body tasks, and a streaming
+``write_parquet`` checkpoint.
 
 The no-cache crawl (``use_cache=False``, the reference's ``--no-cache``)
 runs the same body without the offer: the stage emits its candidate rows
@@ -35,7 +36,7 @@ and ``_refill`` ranks those instead of shard harvests.
 
 Scale notes (the 100 TB / 10^10-URL design point):
 - Only frontier METADATA (url + 3 ints) is ever materialized or shuffled;
-  page bodies stream through fetch→parse→parquet inside one pass and are
+  page bodies stream through fetch→parse→parquet inside one task and are
   never held beyond a batch.
 - All per-round data movement is frontier-sized, never corpus-sized.
 - The seen state is K hash-partitioned actors (exact or bloom); its lineage
@@ -70,13 +71,14 @@ import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
 
-from spider_ray.blockutil import collect_table, compact_table, presplit
+from spider_ray.blockutil import collect_table, compact_table
 from spider_ray.canonical import canonicalize, ensure_scheme, host_of, human_repr
 from spider_ray.oracle import robots_allows
 from spider_ray.stages import claim
 from spider_ray.stages.broadcast import session_key
 from spider_ray.stages.expand import add_host_column, make_parse_store_expand
-from spider_ray.stages.fetch import fetch_indexed, load_corpus_ref
+from spider_ray.stages import fetch as fetch_mod
+from spider_ray.stages.fetch import load_corpus_ref
 from spider_ray.stages.politeness import politeness_split
 from spider_ray.stages.rank import assign_ranks
 from spider_ray.state.seen import (
@@ -108,18 +110,11 @@ FRONTIER_SCHEMA = pa.schema(
 
 # frontier rows the driver may hold (module docstring): a round with at
 # most this many candidates ranks on the driver, and a frontier of at most
-# this many rows is split, cut and checkpointed there. Frontier rows are
+# this many rows stays an Arrow table there (split, cut into the body's
+# blocks and checkpointed without a Ray Data execution). Frontier rows are
 # ~100 B of metadata, so even 8M rows is ~800 MB moved once and a
 # sub-second driver sort, cheaper than a distributed execution
 _DRIVER_ROWS = 8_000_000
-
-# output block bytes the round body declares. Its output is one 16-byte
-# count row per batch (the candidate rows in the no-cache crawl), but until
-# a task of an execution returns, Ray Data (2.49) sizes each task's output
-# at target_max_block_size (128 MB by default) times the generator buffer;
-# with a small object store that estimate fills the op's budget and the
-# round's first task ran alone. Every round is a fresh execution
-_BODY_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -138,9 +133,9 @@ class CrawlConfig:
     # FETCH_MODES: "indexed" (broadcast corpus, cached task fn) |
     # "partitioned" (per-batch reads of the batch hosts' corpus files)
     fetch_mode: str = "indexed"
-    # fetch_batch_size and parse_batch_size are upper bounds: a round's
-    # batches never exceed its frontier blocks (one fetch/parse task per
-    # block), so a round smaller than blocks × size gets smaller batches
+    # a round's body task cuts its frontier block into fetch batches of
+    # this many rows, and the fetched rows into parse batches (below); a
+    # block smaller than a batch is one batch
     fetch_batch_size: int = 1024
     # parse batches bound BOTH per-batch memory (html + parsed text) AND the
     # dedup-offer granularity: each batch locally min-key-dedups its
@@ -212,45 +207,92 @@ def _claims_table_task(claims: Claims) -> pa.Table:
     return claims_table([claims])
 
 
-def _refill(source, n_cand: int, next_rank: int, blocks):
+def _refill(source: list, harvested: bool, n_cand: int, next_rank: int, blocks):
     """Rank a round's new ``(url, claim_key)`` candidates into the next
     frontier: ascending claim key, dense ranks from ``next_rank``, then
     depth and host decoded from the key and url.
 
-    ``source`` is the round's shard harvests (a list of ``Claims`` refs) or,
-    for the no-cache crawl, the stage's materialized candidate Dataset.
-    Returns ``(ranked, n_new)``; up to ``_DRIVER_ROWS`` candidates,
-    ``ranked`` comes back cut into ``blocks(n_new)`` blocks."""
-    harvested = isinstance(source, list)
+    ``source`` is the round's shard harvests (``Claims`` refs) when
+    ``harvested``, else, for the no-cache crawl, refs of the body tasks'
+    candidate tables. Returns ``(ranked, n_new)``: up to ``_DRIVER_ROWS``
+    candidates ``ranked`` is an Arrow table, above it a Dataset."""
     if n_cand > _DRIVER_ROWS:
         if harvested:
-            source = ray.data.from_arrow_refs(
-                [_claims_table_task.remote(h) for h in source]
-            )
+            source = [_claims_table_task.remote(h) for h in source]
         return assign_ranks(
-            source.sort("claim_key"), next_rank, col="rank", post_fn=_decode_candidates
+            ray.data.from_arrow_refs(source).sort("claim_key"),
+            next_rank,
+            col="rank",
+            post_fn=_decode_candidates,
         )
     # sort+rank on the driver — a distributed execution costs more than the
     # data
-    tbl = claims_table(ray.get(source)) if harvested else collect_table(source)
-    if tbl is None or tbl.num_rows == 0:
+    got = ray.get(source)
+    tbl = claims_table(got) if harvested else pa.concat_tables(got)
+    if tbl.num_rows == 0:
         return None, 0
     tbl = tbl.take(pa.compute.sort_indices(tbl, sort_keys=[("claim_key", "ascending")]))
     n_new = tbl.num_rows
     tbl = tbl.append_column(
         "rank", pa.array(np.arange(next_rank, next_rank + n_new, dtype=np.int64))
     )
-    # cut for the NEXT round's fetch, with the decode running as PARALLEL
-    # per-slice tasks (no serial decode on the driver)
     step = -(-n_new // blocks(n_new))
-    # ONE put; tasks slice by (offset, length) — see _decode_block_task for
-    # the pickle trap
+    if step == n_new:
+        # one slice: decoding it here costs less than a task round trip
+        return _decode_candidates(tbl), n_new
+    # the decode runs as PARALLEL per-slice tasks (no serial decode on the
+    # driver). ONE put; tasks slice by (offset, length) — see
+    # _decode_block_task for the pickle trap
     tref = ray.put(tbl)
     slices = [
         _decode_block_task.remote(tref, i, min(step, n_new - i))
         for i in range(0, n_new, step)
     ]
-    return ray.data.from_arrow_refs(slices), n_new
+    return pa.concat_tables(ray.get(slices)), n_new
+
+
+@ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError], num_returns=2)
+def _round_body_task(block: pa.Table, fetch, fetch_batch: int, stage, parse_batch: int):
+    """One frontier block's round body: ``fetch`` over ``fetch_batch``-row
+    slices of the block, and ``stage`` (parse + store write + robots gate
+    + offer) over ``parse_batch``-row batches of the fetched rows, each run
+    as soon as its rows are fetched (so no more than about a parse batch
+    plus a fetch batch of page bodies is held at once). Returns the
+    stage's output rows (one count row per parse batch, or the no-cache
+    crawl's candidate rows) and their count; ``(0, None)`` when no page was
+    fetched.
+
+    Retried like a Ray Data task (``max_retries=-1`` and Ray system
+    errors): a retry fetches the same rows, rewrites the same store parts
+    (named by their ranks) and offers the same candidates again, which the
+    shards claim once."""
+    outs, held = [], None
+    for i in range(0, block.num_rows, fetch_batch):
+        got = fetch(block.slice(i, fetch_batch))
+        held = got if held is None else pa.concat_tables([held, got])
+        while held.num_rows >= parse_batch:
+            outs.append(stage(held.slice(0, parse_batch)))
+            held = held.slice(parse_batch)
+    if held is not None and held.num_rows:
+        outs.append(stage(held))
+    if not outs:
+        return 0, None
+    out = pa.concat_tables(outs)
+    return out.num_rows, out
+
+
+def _body_blocks(fetch_now, blocks) -> tuple[list, int]:
+    """``fetch_now`` as the round body's inputs, ``blocks(n)`` of them,
+    and its row count ``n``: compacted slices of a driver table, or the
+    block refs of a Dataset repartitioned and materialized."""
+    if isinstance(fetch_now, pa.Table):
+        n = fetch_now.num_rows
+        step = max(1, -(-n // blocks(n)))
+        return [compact_table(fetch_now.slice(i, step)) for i in range(0, n, step)], n
+    n = fetch_now.count()
+    if n == 0:
+        return [], 0
+    return fetch_now.repartition(blocks(n)).materialize().to_arrow_refs(), n
 
 
 # Idle seen-shard actors of this process, per Ray session and shard class.
@@ -363,14 +405,13 @@ def _target_blocks(n_rows: int, cpus: int, batch_size: int) -> int:
 def _checkpoint_round(
     out_dir: str,
     r: int,
-    frontier: list | Dataset,
+    frontier: pa.Table | Dataset | None,
     seed_tbl: pa.Table | None,
     metrics: list[dict],
 ) -> None:
     """Write round r's checkpoint and atomically promote it. ``frontier``
-    is the next pending frontier: its block refs (collected HERE, on the
-    writer thread, overlapped with the next round) or, above
-    ``_DRIVER_ROWS``, a Dataset streamed through ``write_parquet``.
+    is the next pending frontier: the driver's table (None when empty) or,
+    above ``_DRIVER_ROWS``, a Dataset streamed through ``write_parquet``.
 
     The URL-seen lineage needs NO separate claims files: every claimed url
     sits in the pending frontier at the end of its claim round (it is only
@@ -385,11 +426,8 @@ def _checkpoint_round(
     if isinstance(frontier, Dataset):
         frontier.write_parquet(os.path.join(tmp, "frontier"))
     else:
-        tbls = ray.get(frontier)
         pq.write_table(
-            pa.concat_tables(tbls).select(FRONTIER_COLS)
-            if tbls
-            else FRONTIER_SCHEMA.empty_table(),
+            FRONTIER_SCHEMA.empty_table() if frontier is None else frontier,
             os.path.join(tmp, "frontier", "data.parquet"),
         )
 
@@ -600,7 +638,12 @@ def _crawl_rounds(
     shards: list,
 ) -> CrawlResult:
     """The round loop of ``crawl`` on shards the caller owns."""
-    corpus_ref = load_corpus_ref(corpus_path) if cfg.fetch_mode == "indexed" else None
+    # the per-batch fetch of either mode, from the broadcast corpus or the
+    # corpus path (make_fetch_fn is looked up at call time: a rebound one
+    # wraps it)
+    fetch = fetch_mod.make_fetch_fn(
+        load_corpus_ref(corpus_path) if cfg.fetch_mode == "indexed" else corpus_path
+    )
 
     start_url = canonicalize(ensure_scheme(seeds[0]))
     parent_value = human_repr(start_url)
@@ -609,17 +652,15 @@ def _crawl_rounds(
     def blocks(n_rows: int) -> int:
         return _target_blocks(n_rows, cpus, cfg.fetch_batch_size)
 
-    def cut(tbl: pa.Table) -> Dataset:
-        """A frontier the driver holds, cut for the next round's fetch."""
-        return presplit(tbl, blocks(tbl.num_rows))
-
+    # front: the next round's frontier — an Arrow table up to _DRIVER_ROWS
+    # rows, a materialized Dataset above
     if resume:
         files, round_idx, metrics = _restore(out_dir, shards, cfg.seen_shards)
         pending_count = sum(pq.read_metadata(f).num_rows for f in files)
         if pending_count > _DRIVER_ROWS:
-            pending = ray.data.read_parquet(files).materialize()
+            front = ray.data.read_parquet(files).materialize()
         else:
-            pending = cut(pq.read_table(files, schema=FRONTIER_SCHEMA))
+            front = pq.read_table(files, schema=FRONTIER_SCHEMA)
         last = metrics[-1]
         next_rank = last["next_rank"]
         total_calls = last["total_calls"]
@@ -630,7 +671,7 @@ def _crawl_rounds(
             seeds, shards, cfg.seen_shards, cfg.robots, cfg.use_cache
         )
         parent_value = human_repr(start_url)
-        pending = cut(seed_tbl)
+        front = seed_tbl
         pending_count = seed_tbl.num_rows
         round_idx, next_rank = 0, seed_tbl.num_rows
         total_calls, crawled_cum = 0, 0
@@ -649,49 +690,30 @@ def _crawl_rounds(
             os.makedirs(store_dir)
 
             t_split = time.perf_counter()
+            # the split takes the frontier as a Dataset (the benchmark's
+            # rebound split reads its blocks; below the bound it is the one
+            # Dataset a round builds) and the driver's table beside it
+            held = front if isinstance(front, pa.Table) else None
+            pending = front if held is None else ray.data.from_arrow(held)
             fetch_now, deferred = politeness_split(
                 pending,
                 cfg.per_host_budget,
                 cfg.host_budgets,
                 driver_rows=_DRIVER_ROWS,
-                fetch_blocks=blocks,
+                table=held,
             )
             t_politeness = time.perf_counter() - t_split
-            n_fetch = pending_count if deferred is None else fetch_now.count()
+            inputs, n_fetch = _body_blocks(front if deferred is None else fetch_now, blocks)
             n_defer = pending_count - n_fetch
-            # fetch_now comes in blocks(n_fetch) blocks: up to the bound the
-            # frontier arrives cut to _target_blocks, and so does the driver
-            # split's fetch_now (counts that are block metadata); above it,
-            # fetch_now is repartitioned here
-            if pending_count <= _DRIVER_ROWS:
-                n_blocks = fetch_now.num_blocks()
-            else:
-                n_blocks = blocks(n_fetch)
-                if n_fetch > 0:
-                    fetch_now = fetch_now.repartition(n_blocks)
-            # one fetch/parse task per block: the fused fetch+parse op
-            # bundles input blocks up to its larger batch size, so neither
-            # batch may exceed a block. A block above the configured sizes
-            # is still cut into batches of them inside its task
-            step = max(1, -(-n_fetch // blocks(n_fetch)))
-            fetch_batch = min(cfg.fetch_batch_size, step)
-            parse_batch = min(cfg.parse_batch_size, step)
 
-            if cfg.fetch_mode == "indexed":
-                fetched = fetch_indexed(fetch_now, corpus_ref, fetch_batch)
-            else:
-                from spider_ray.stages.fetch import fetch_partitioned
-
-                fetched = fetch_partitioned(fetch_now, corpus_path, fetch_batch)
-
-            # ONE streaming execution for the whole round body: fetch →
-            # parse → store-part write → robots gate → dedup+claim OFFER to
-            # the seen shards (fused in expand.py). Only per-batch counts
-            # come back; candidates never hit the object store. The
-            # candidates' one unavoidable all-to-all is the url-hash actor
-            # routing itself. --no-cache (use_cache.py:19-28) admits every
-            # candidate occurrence: nothing is offered or claimed, and the
-            # stage returns the candidate rows instead of counts.
+            # the round body: one task per block, fetch → parse → store-part
+            # write → robots gate → dedup+claim OFFER to the seen shards
+            # (fused in expand.py). Only per-batch counts come back;
+            # candidates never hit the object store. The candidates' one
+            # unavoidable all-to-all is the url-hash actor routing itself.
+            # --no-cache (use_cache.py:19-28) admits every candidate
+            # occurrence: nothing is offered or claimed, and the stage
+            # returns the candidate rows instead of counts.
             stage = make_parse_store_expand(
                 start_url,
                 parent_value,
@@ -704,30 +726,31 @@ def _crawl_rounds(
                 ),
                 robots_rules=cfg.robots,
             )
-            out = fetched.map_batches(
-                stage,
-                batch_format="pyarrow",
-                batch_size=parse_batch,
-                zero_copy_batch=True,
-            )
-            # on the body's own context (a copy per frontier Dataset): the
-            # global DataContext stays as it is
-            out.context.target_max_block_size = _BODY_BLOCK_BYTES
+            sizes, outs = [], []
+            for block in inputs:
+                n_out, out = _round_body_task.remote(
+                    block, fetch, cfg.fetch_batch_size, stage, cfg.parse_batch_size
+                )
+                sizes.append(n_out)
+                outs.append(out)
             if cfg.use_cache:
-                ctbl = collect_table(out)  # runs the round body
-                crawled_this = int(pa.compute.sum(ctbl.column("crawled")).as_py()) if ctbl else 0
-                n_cand = int(pa.compute.sum(ctbl.column("candidates")).as_py()) if ctbl else 0
+                counts = [t for t in ray.get(outs) if t is not None]
+                crawled_this = sum(pa.compute.sum(t.column("crawled")).as_py() for t in counts)
+                n_cand = sum(pa.compute.sum(t.column("candidates")).as_py() for t in counts)
             else:
-                out = out.materialize()
+                sizes = ray.get(sizes)
                 crawled_this = _store_rows_count(store_dir)
-                n_cand = out.count()
+                n_cand = sum(sizes)
             t_parse = time.perf_counter() - t0
 
             t1 = time.perf_counter()
             ranked, n_new = None, 0
             if n_cand > 0:
-                source = [s.harvest.remote(r + 1) for s in shards] if cfg.use_cache else out
-                ranked, n_new = _refill(source, n_cand, next_rank, blocks)
+                if cfg.use_cache:
+                    source = [s.harvest.remote(r + 1) for s in shards]
+                else:
+                    source = [out for out, n in zip(outs, sizes) if n]
+                ranked, n_new = _refill(source, cfg.use_cache, n_cand, next_rank, blocks)
             t_refill = time.perf_counter() - t1
 
             next_rank += n_new
@@ -735,32 +758,30 @@ def _crawl_rounds(
             crawled_cum += crawled_this
             pending_count = n_defer + n_new
 
-            # next frontier: deferred + ranked. Up to the bound it is built
-            # cut (only the driver refill's own output already is; a union
-            # would gain a block per deferring round, and the split slows
-            # with every block), and the checkpoint gets its block refs
+            # next frontier: deferred + ranked, on the driver up to the bound
             parts = [p for p in (deferred if n_defer else None, ranked) if p is not None]
             if pending_count > _DRIVER_ROWS:
                 # materialized once: the deferred filter then runs once, not
                 # once per consumer (checkpoint write, next split)
-                pending = frontier = reduce(Dataset.union, parts).materialize()
+                front = reduce(
+                    Dataset.union,
+                    [p if isinstance(p, Dataset) else ray.data.from_arrow(p) for p in parts],
+                ).materialize()
             elif pending_count == 0:
-                frontier = []
+                front = None
             else:
-                if n_defer or n_cand > _DRIVER_ROWS:
-                    pending = cut(
-                        pa.concat_tables([collect_table(p).select(FRONTIER_COLS) for p in parts])
-                    )
-                else:
-                    pending = ranked
-                # block refs without an execution (see collect_table)
-                frontier = pending.materialize().to_arrow_refs()
+                front = pa.concat_tables(
+                    [
+                        p if isinstance(p, pa.Table) else collect_table(p).select(FRONTIER_COLS)
+                        for p in parts
+                    ]
+                )
 
             metrics.append(
                 {
                     "round": r,
                     "fetched": n_fetch,
-                    "fetch_blocks": n_blocks,
+                    "fetch_blocks": len(inputs),
                     "crawled": crawled_this,
                     "misses": n_fetch - crawled_this,
                     "claimed": n_new,
@@ -793,7 +814,7 @@ def _crawl_rounds(
             if ckpt_thread is not None:
                 ckpt_thread.join_and_raise()
             ckpt_thread = _CheckpointThread(
-                out_dir, r, frontier, seed_tbl if r == 0 else None, list(metrics)
+                out_dir, r, front, seed_tbl if r == 0 else None, list(metrics)
             )
             ckpt_thread.start()
             seed_tbl = None

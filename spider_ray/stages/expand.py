@@ -1,6 +1,7 @@
 """Parse + store-write + link-expand stage: the crawl's single heavy pass.
 
-One streaming ``map_batches`` pass per round does all per-page work
+One per-batch function, called on every parse batch of a round's body
+tasks (``pipelines/crawl.py:_round_body_task``), does all per-page work
 (reference equivalents: parse crawler.py:157-172, save crawler.py:106-112,
 link generation crawler.py:140-154):
 
@@ -90,13 +91,13 @@ def make_parse_store_expand(
     offer_to=None,
     robots_rules=None,
 ):
-    """The round's one ``map_batches`` stage. Candidate links pass the
-    robots gate (``robots_rules``) inline. With
+    """The round's per-batch stage. Candidate links pass the robots gate
+    (``robots_rules``) inline. With
     ``offer_to=(shards, round_id, n_shards, route_sentinel)`` they are then
     routed straight to the seen shards (UrlSeenShard.offer) and only
     per-batch COUNTS flow downstream — the whole round body (fetch → parse
-    → store write → robots → dedup offer) is ONE streaming execution with
-    no candidate blocks in the object store. With ``offer_to=None`` (the
+    → store write → robots → dedup offer) runs inside one task per
+    frontier block, with no candidate blocks in the object store. With ``offer_to=None`` (the
     no-cache crawl, which claims nothing) the candidate rows themselves are
     the output."""
 

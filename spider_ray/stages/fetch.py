@@ -5,17 +5,19 @@ from the corpus is the fetch-failure path (crawler.py:102-104): the row is
 dropped here and accounted as a miss by the driver (fetched − crawled),
 never retried — reference semantics.
 
-Two physical strategies (SURVEY.md §2.1 S1), chosen by ``fetch_mode``:
+Two physical strategies (SURVEY.md §2.1 S1), chosen by ``fetch_mode``. The
+crawl gets the per-batch function of either from ``make_fetch_fn(source)``:
 
-- **indexed** (default): the corpus html table AND a hash-sorted url index
-  (two numpy arrays) are ``ray.put`` ONCE by the driver; every worker reads
-  all of it zero-copy from the object store — no per-worker index build at
-  all — and serves each batch with a vectorized ``searchsorted`` + one
-  Arrow ``take``. This is the broadcast-small-side pattern — right whenever
-  the corpus fits the cluster object store.
-- **partitioned**: the same per-batch map, but each batch reads only the
+- **indexed** (default, ``source`` = the broadcast corpus ref): the corpus
+  html table AND a hash-sorted url index (two numpy arrays) are
+  ``ray.put`` ONCE by the driver; every worker reads all of it zero-copy
+  from the object store — no per-worker index build at all — and serves
+  each batch with a vectorized ``searchsorted`` + one Arrow ``take``. This
+  is the broadcast-small-side pattern — right whenever the corpus fits the
+  cluster object store.
+- **partitioned** (``source`` = the corpus path): each batch reads only the
   corpus files and row groups of its own hosts, pruned by per-host url
-  ranges (``fetch_partitioned``). Right when the corpus is far larger than
+  ranges (``frontier_filter``). Right when the corpus is far larger than
   the object store: I/O follows the frontier's hosts, not the corpus.
 """
 
@@ -129,11 +131,11 @@ class _CorpusIndex:
         return sub.append_column("html", html)
 
 
-# Worker-process-global cache: Ray worker processes persist across Dataset
-# executions, so the index is built once per worker for the whole crawl even
-# though each BFS round is a separate execution. (An actor pool would give
-# the same amortization but pays pool startup EVERY round, since Ray Data
-# actor pools are per-execution — measured at ~3s/round at test scale.)
+# Worker-process-global cache: Ray worker processes persist across tasks,
+# so the index is built once per worker for the whole crawl even though
+# each BFS round starts new tasks. (A Ray Data actor pool would give the
+# same amortization but pays pool startup EVERY round, since its pools are
+# per-execution — measured at ~3s/round at test scale.)
 _CORPUS_CACHE: dict = {}
 
 
@@ -146,9 +148,15 @@ def _ensure_index(table_ref) -> _CorpusIndex:
     return idx
 
 
-def make_fetch_fn(table_ref):
+def make_fetch_fn(source):
+    """The per-batch fetch of a frontier table: the indexed lookup when
+    ``source`` is the broadcast corpus ref (``load_corpus_ref``), the
+    partitioned read when it is the corpus path."""
+    if isinstance(source, str):
+        return _partitioned_fetch(source)
+
     def fetch(batch: pa.Table) -> pa.Table:
-        return _ensure_index(table_ref).lookup(batch)
+        return _ensure_index(source).lookup(batch)
 
     return fetch
 
@@ -173,12 +181,6 @@ def prewarm_workers(table_ref, n_workers: int) -> None:
         return 0
 
     ray.get([_warm.remote(i) for i in range(n_workers)])
-
-
-def fetch_indexed(frontier: Dataset, table_ref, batch_size: int) -> Dataset:
-    return frontier.map_batches(
-        make_fetch_fn(table_ref), batch_format="pyarrow", batch_size=batch_size
-    )
 
 
 # one pyarrow dataset handle per worker PROCESS (not per batch): the handle
@@ -217,13 +219,12 @@ def frontier_filter(urls, hosts) -> pc.Expression:
     return keep & url.isin(t.column("url").combine_chunks())
 
 
-def fetch_partitioned(frontier: Dataset, corpus_path: str, batch_size: int) -> Dataset:
-    """Scale path for corpora far larger than the cluster object store: one
-    per-batch map, like ``fetch_indexed``, with no exchange. Each batch reads
-    ONLY the corpus files and row groups holding its own hosts' urls
-    (``frontier_filter``) and joins them back by url, so I/O is O(frontier's
-    hosts), not O(corpus) — the layout-aware pattern that replaces the
-    broadcast index at the 100 TB tier.
+def _partitioned_fetch(corpus_path: str):
+    """Scale path for corpora far larger than the cluster object store: each
+    batch reads ONLY the corpus files and row groups holding its own hosts'
+    urls (``frontier_filter``) and joins them back by url, so I/O is
+    O(frontier's hosts), not O(corpus) — the layout-aware pattern that
+    replaces the broadcast index at the 100 TB tier.
 
     Hot-host safety (SURVEY.md §7 hard-part 5) comes from the row cut: a
     hot host's rows spread over every batch, so no task gets the whole
@@ -241,7 +242,16 @@ def fetch_partitioned(frontier: Dataset, corpus_path: str, batch_size: int) -> D
         hit = pos.is_valid()
         return rows.filter(hit).append_column("html", t.column("html").take(pos.filter(hit)))
 
-    return frontier.map_batches(fetch, batch_format="pyarrow", batch_size=batch_size)
+    return fetch
+
+
+def fetch_partitioned(frontier: Dataset, corpus_path: str, batch_size: int) -> Dataset:
+    """The partitioned fetch as one per-batch ``map_batches`` over a
+    frontier Dataset, with no exchange (tests and tools; the crawl calls
+    the per-batch function inside its round-body tasks)."""
+    return frontier.map_batches(
+        _partitioned_fetch(corpus_path), batch_format="pyarrow", batch_size=batch_size
+    )
 
 
 _REF_CACHE: dict = {}

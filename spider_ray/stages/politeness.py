@@ -17,13 +17,13 @@ Three physical paths, picked per call:
 
 - **Driver** — the frontier is already materialized and holds at most
   ``driver_rows`` rows (the crawl passes its one bound on frontier metadata
-  the driver may hold, ``pipelines/crawl.py:_DRIVER_ROWS``). Its blocks
-  come to the driver with one ``ray.get`` of the block refs (``blockutil.
-  collect_table``, which starts no execution either), one call of each
-  kernel below gives the thresholds, and ``_fetch_now`` flags the rows. No
-  Ray Data execution runs: ``fetch_now`` comes back already cut into
-  ``fetch_blocks(n)`` slices and ``deferred`` as one block, both
-  materialized, so their counts are block metadata.
+  the driver may hold, ``pipelines/crawl.py:_DRIVER_ROWS``, and the Arrow
+  table it holds the frontier as). Without that table its blocks come to
+  the driver with one ``ray.get`` of the block refs (``blockutil.
+  collect_table``, which starts no execution). One call of each kernel
+  below gives the thresholds, and ``_fetch_now`` flags the rows. No Ray
+  Data execution runs and no Dataset is built: ``fetch_now`` and
+  ``deferred`` come back as Arrow tables on the driver.
 - **Broadcast** — above ``driver_rows`` (or on a lazy frontier), with at
   most ``_BROADCAST_LIMIT`` throttled hosts: the thresholds table goes out
   as one object and a ``map_batches`` flags the rows.
@@ -53,8 +53,6 @@ the whole frontier. All three paths are tested equal.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -63,7 +61,7 @@ import ray
 from ray.data import Dataset
 from ray.data.dataset import MaterializedDataset
 
-from spider_ray.blockutil import collect_table, presplit, shard_exchange, shard_join
+from spider_ray.blockutil import collect_table, shard_exchange, shard_join
 
 # hosts whose thresholds are broadcast as one table; past it the frontier is
 # joined with the thresholds through a shard exchange on host
@@ -80,11 +78,13 @@ def _fetch_now(tbl: pa.Table, thr: pa.Table):
 
 
 def _split_on_driver(
-    pending: MaterializedDataset, partial_topb, shard_thresholds, fetch_blocks
-) -> tuple[Dataset, Dataset | None]:
-    """The driver path (module docstring): the frontier's blocks by one
-    ``collect_table``, one call of each kernel, one flag."""
-    tbl = collect_table(pending)
+    pending: Dataset, tbl: pa.Table | None, partial_topb, shard_thresholds
+) -> tuple[Dataset | pa.Table, pa.Table | None]:
+    """The driver path (module docstring): the frontier's rows (``tbl``, or
+    ``pending``'s blocks by one ``collect_table``), one call of each
+    kernel, one flag."""
+    if tbl is None:
+        tbl = collect_table(pending)
     if tbl is None:
         return pending, None
     tbl = tbl.replace_schema_metadata(None)
@@ -92,11 +92,7 @@ def _split_on_driver(
     if cand.num_rows == 0:
         return pending, None  # no throttled host in this frontier
     now = _fetch_now(tbl, shard_thresholds(cand.to_pandas()))
-    fetch_now = tbl.filter(now)
-    return (
-        presplit(fetch_now, fetch_blocks(fetch_now.num_rows)),
-        ray.data.from_arrow(tbl.filter(pc.invert(now))),
-    )
+    return tbl.filter(now), tbl.filter(pc.invert(now))
 
 
 def politeness_split(
@@ -105,8 +101,8 @@ def politeness_split(
     host_budgets: dict[str, int] | None = None,
     *,
     driver_rows: int = 0,
-    fetch_blocks: Callable[[int], int] = lambda n: 1,
-) -> tuple[Dataset, Dataset | None]:
+    table: pa.Table | None = None,
+) -> tuple[Dataset | pa.Table, Dataset | pa.Table | None]:
     """→ (fetch_now, deferred). With no budget at all, everything fetches
     now. ``host_budgets`` (e.g. derived from robots crawl_delay_ms —
     spider_ray.robots) overrides the global default per host; a host with
@@ -114,8 +110,9 @@ def politeness_split(
     host, ``deferred`` is None and ``fetch_now`` is ``pending``.
 
     A materialized ``pending`` of at most ``driver_rows`` rows is split on
-    the driver, with ``fetch_now`` cut into ``fetch_blocks(n_fetch)``
-    blocks; both parts come back materialized."""
+    the driver, and both parts come back as Arrow tables; otherwise both
+    are Datasets. A caller that holds ``pending``'s rows as one Arrow
+    ``table`` passes it too, and the driver path reads no block back."""
     if per_host_budget is None and not host_budgets:
         return pending, None
 
@@ -165,8 +162,14 @@ def politeness_split(
             schema=_THRESHOLD_SCHEMA,
         )
 
-    if isinstance(pending, MaterializedDataset) and pending.count() <= driver_rows:
-        return _split_on_driver(pending, partial_topb, shard_thresholds, fetch_blocks)
+    if table is not None:
+        n_rows = table.num_rows
+    elif isinstance(pending, MaterializedDataset):
+        n_rows = pending.count()  # block metadata
+    else:
+        n_rows = driver_rows + 1  # a lazy frontier
+    if n_rows <= driver_rows:
+        return _split_on_driver(pending, table, partial_topb, shard_thresholds)
 
     cand = pending.map_batches(partial_topb, batch_format="pandas")
 

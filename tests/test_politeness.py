@@ -10,10 +10,17 @@ path with the shard exchanges forced onto 7 shards."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 # a driver_rows bound above every frontier here: the driver path
 DRIVER = 1 << 30
+
+
+def _rows(part) -> int:
+    """Rows of a split part: an Arrow table from the driver path, a
+    Dataset from the distributed ones."""
+    return part.num_rows if isinstance(part, pa.Table) else part.count()
 
 
 def _frontier(n_rows: int, hosts: list[str], n_blocks: int):
@@ -52,7 +59,7 @@ def _check_single_hot_host(n_blocks, driver_rows):
     now, deferred = politeness_split(ds, per_host_budget=16, driver_rows=driver_rows)
     got = set(now.to_pandas()["url"])
     assert got == _expected(df, 16)
-    assert deferred.count() == 500 - 16
+    assert _rows(deferred) == 500 - 16
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -160,11 +167,11 @@ def _check_zero_budget_defers_everything(driver_rows):
     got = now.to_pandas()
     assert set(got["host"]) == {"a"}
     assert len(got) == 60
-    assert deferred.count() == 60
+    assert _rows(deferred) == 60
     # global zero budget → the whole frontier defers
     now2, def2 = politeness_split(ds, 0, driver_rows=driver_rows)
-    assert now2.count() == 0
-    assert def2.count() == 120
+    assert _rows(now2) == 0
+    assert _rows(def2) == 120
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -196,7 +203,12 @@ def _check_metadata_free_schemas(driver_rows):
     ds, _ = _frontier(200, ["a.example", "b.example", "c.example"], 4)
     fetch_now, deferred = politeness_split(ds, 5, driver_rows=driver_rows)
     for part in (fetch_now, deferred):
-        for batch in part.iter_batches(batch_format="pyarrow", batch_size=None):
+        batches = (
+            [part]
+            if isinstance(part, pa.Table)
+            else part.iter_batches(batch_format="pyarrow", batch_size=None)
+        )
+        for batch in batches:
             assert batch.schema.metadata in (None, {})
             hash(batch.schema)  # raises on any metadata blob
 
@@ -254,18 +266,19 @@ def test_no_throttled_host_in_frontier_early_returns_distributed(distributed_spl
 @pytest.mark.usefixtures("ray_session")
 def test_driver_split_starts_no_execution(monkeypatch):
     """A budgeted split of a small materialized frontier starts no Ray Data
-    execution, and its parts count from block metadata — on a frontier
-    built from driver-side slices, as the crawl builds it, and on one that
-    went through ``materialize()``. One row over the bound, the distributed
-    path runs (so the counter does see executions)."""
-    import pyarrow as pa
+    execution and returns its parts as Arrow tables — on a frontier built
+    from driver-side slices, on one that went through ``materialize()``,
+    and given the frontier's rows as a table beside it, as the crawl calls
+    it. One row over the bound, the distributed path runs (so the counter
+    does see executions)."""
+    import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
-    from spider_ray.blockutil import presplit
     from spider_ray.stages.politeness import politeness_split
 
     materialized, df = _frontier(300, ["a", "b", "c"], 5)
-    sliced = presplit(pa.Table.from_pandas(df, preserve_index=False), 5)
+    tbl = pa.Table.from_pandas(df, preserve_index=False)
+    sliced = ray.data.from_arrow([tbl.slice(i, 60) for i in range(0, 300, 60)])
     executions = []
     execute = StreamingExecutor.execute
 
@@ -274,11 +287,12 @@ def test_driver_split_starts_no_execution(monkeypatch):
         return execute(self, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    for ds in (sliced, materialized):
+    for ds, table in ((sliced, None), (materialized, None), (sliced, tbl)):
         now, deferred = politeness_split(
-            ds, 10, host_budgets={"c": 2}, driver_rows=300, fetch_blocks=lambda n: 4
+            ds, 10, host_budgets={"c": 2}, driver_rows=300, table=table
         )
-        assert (now.count(), deferred.count(), now.num_blocks()) == (22, 278, 4)
+        assert isinstance(now, pa.Table) and isinstance(deferred, pa.Table)
+        assert (now.num_rows, deferred.num_rows) == (22, 278)
         assert executions == []
         assert set(now.to_pandas()["url"]) == _expected(df, 10, {"c": 2})
         executions.clear()

@@ -7,8 +7,11 @@ for a seed (the shape and the crawl config are read from
 crawl and then ``--crawls`` timed crawls of it with no span tracing, and
 prints, per round of the last crawl, ``fetched`` (frontier rows fetched),
 ``fetch_blocks`` (the blocks handed to the fetch, one fetch/parse task
-each) and ``t_fetch_parse`` (the round body's wall time, the median over
-the timed crawls), then the median crawl wall time.
+each) and the medians over the timed crawls of ``t_fetch_parse`` (the round
+body's wall time, the split included), ``t_politeness`` (the split's) and
+``t_frontier_refill`` (the refill's), then the median crawl wall time and
+the Ray Data executions each timed crawl started (counted with
+``crawlbench/trace.py:count_executions``).
 
 Ray starts like the benchmark's: every CPU of the process's affinity and a
 512 MB object store. An older engine without ``fetch_blocks`` prints
@@ -31,7 +34,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import ray  # noqa: E402
 
-from crawlbench import gen, workloads  # noqa: E402
+from crawlbench import gen, trace, workloads  # noqa: E402
 from spider_ray.pipelines.crawl import crawl  # noqa: E402
 
 SHAPES = {w.name: w for w in (workloads.CrawlBfs, workloads.CrawlPolite)}
@@ -53,28 +56,36 @@ def main() -> None:
             logging_level="ERROR",
         )
     ray.data.DataContext.get_current().enable_progress_bars = False
+    trace.count_executions()
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     with tempfile.TemporaryDirectory() as work:
         corpus = gen.make_corpus(args.seed, **shape.corpus)
         corpus_dir = corpus.write(os.path.join(work, "corpus"))
         out = os.path.join(work, "out")
-        walls, rounds = [], []
+        walls, rounds, executions = [], [], []
         for i in range(args.crawls + 1):
             shutil.rmtree(out, ignore_errors=True)
+            before = trace.EXECUTIONS[0]
             t0 = time.perf_counter()
             res = crawl(corpus_dir, corpus.seeds, out, **shape.config)
             if i:  # the first crawl warms the workers and the shard pool
                 walls.append(time.perf_counter() - t0)
                 rounds.append(res.rounds)
+                executions.append(trace.EXECUTIONS[0] - before)
+
+    def med(r: int, key: str) -> float:
+        return round(statistics.median(rs[r][key] for rs in rounds if len(rs) > r), 4)
+
     for r, last in enumerate(rounds[-1]):
-        t = [rs[r]["t_fetch_parse"] for rs in rounds if len(rs) > r]
         print(
             json.dumps(
                 {
                     "round": r,
                     "fetched": last["fetched"],
                     "fetch_blocks": last.get("fetch_blocks"),
-                    "t_fetch_parse": round(statistics.median(t), 4),
+                    "t_fetch_parse": med(r, "t_fetch_parse"),
+                    "t_politeness": med(r, "t_politeness"),
+                    "t_frontier_refill": med(r, "t_frontier_refill"),
                 }
             )
         )
@@ -86,6 +97,7 @@ def main() -> None:
                 "crawls": len(walls),
                 "median_crawl_s": round(statistics.median(walls), 4),
                 "walls": [round(w, 3) for w in walls],
+                "ray_data_executions": executions,
             }
         )
     )
